@@ -20,15 +20,13 @@
 // run, making overload-during-faults a first-class scenario. Extra
 // environment knobs for short CI ramps: WADC_CAPACITY_SESSIONS (arrivals
 // per run), WADC_CAPACITY_STEPS (ramp steps).
-#include <cerrno>
-#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <string>
 #include <vector>
 
+#include "common/parse.h"
 #include "exp/bench_support.h"
 #include "exp/experiment.h"
 #include "exp/parallel.h"
@@ -39,20 +37,6 @@
 #include "trace/stats.h"
 
 namespace {
-
-int env_positive_int(const char* name, int fallback) {
-  const char* s = std::getenv(name);
-  if (s == nullptr) return fallback;
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (*s == '\0' || *end != '\0' || errno != 0 || v <= 0 || v > INT_MAX) {
-    std::fprintf(stderr, "invalid %s: '%s' (want a positive integer)\n", name,
-                 s);
-    std::exit(2);
-  }
-  return static_cast<int>(v);
-}
 
 // One admission policy under test.
 struct PolicyUnderTest {
@@ -82,10 +66,10 @@ int main(int argc, char** argv) {
   std::string curves_out = "BENCH_ext_capacity.json";
   std::vector<char*> passthrough = {argv[0]};
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--fault-spec=", 13) == 0) {
-      fault_spec_path = argv[i] + 13;
-    } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
-      curves_out = argv[i] + 6;
+    if (auto v = flag_value(argv[i], "--fault-spec")) {
+      fault_spec_path = *v;
+    } else if (auto vo = flag_value(argv[i], "--out")) {
+      curves_out = *vo;
     } else {
       if (std::strcmp(argv[i], "--help") == 0) {
         std::fprintf(stderr,
@@ -116,8 +100,9 @@ int main(int argc, char** argv) {
   const trace::TraceLibrary library(trace::TraceLibraryParams{}, 2026);
   const int configs = exp::env_configs(4);
   const std::uint64_t base_seed = exp::env_seed(1000);
-  const int sessions = env_positive_int("WADC_CAPACITY_SESSIONS", 24);
-  const int steps = env_positive_int("WADC_CAPACITY_STEPS", 6);
+  const int sessions =
+      env_number<int>("WADC_CAPACITY_SESSIONS", 1).value_or(24);
+  const int steps = env_number<int>("WADC_CAPACITY_STEPS", 1).value_or(6);
   const int jobs = exp::resolve_jobs(bench.jobs());
 
   const auto make_spec = [&](int c) {

@@ -1,9 +1,10 @@
 #include "cache/cache_config.h"
 
-#include <cerrno>
-#include <cstdlib>
 #include <stdexcept>
+#include <string_view>
 #include <vector>
+
+#include "common/parse.h"
 
 namespace wadc::cache {
 
@@ -13,33 +14,23 @@ namespace {
   throw std::runtime_error("cache spec: " + what);
 }
 
+// BYTES with an optional binary k/m/g suffix.
 std::uint64_t parse_capacity(const std::string& value) {
-  if (value.empty() || value[0] == '-' || value[0] == '+') {
-    fail("capacity must be a positive byte count, got '" + value + "'");
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-  if (end == value.c_str() || errno != 0) {
-    fail("capacity must be a positive byte count, got '" + value + "'");
-  }
+  std::string_view digits = value;
   std::uint64_t scale = 1;
-  if (*end != '\0') {
-    switch (*end) {
-      case 'k': case 'K': scale = 1ull << 10; break;
-      case 'm': case 'M': scale = 1ull << 20; break;
-      case 'g': case 'G': scale = 1ull << 30; break;
-      default:
-        fail("capacity must be a positive byte count, got '" + value + "'");
-    }
-    if (end[1] != '\0') {
-      fail("capacity must be a positive byte count, got '" + value + "'");
-    }
+  switch (digits.empty() ? '\0' : digits.back()) {
+    case 'k': case 'K': scale = 1ull << 10; break;
+    case 'm': case 'M': scale = 1ull << 20; break;
+    case 'g': case 'G': scale = 1ull << 30; break;
+    default: break;
   }
-  if (v == 0 || v > ~0ull / scale) {
+  if (scale != 1) digits.remove_suffix(1);
+  const std::optional<std::uint64_t> v = parse_number<std::uint64_t>(digits);
+  if (!v) fail("capacity must be a positive byte count, got '" + value + "'");
+  if (*v == 0 || *v > ~0ull / scale) {
     fail("capacity out of range: '" + value + "'");
   }
-  return v * scale;
+  return *v * scale;
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 #include "core/bandwidth_resolver.h"
 #include "core/local_rule.h"
 #include "dataflow/adaptation_policy.h"
-#include "dataflow/debug_log.h"
 
 namespace wadc::dataflow {
 
@@ -158,9 +157,6 @@ sim::Task<void> ChangeOverCoordinator::replanner_process(
     if (active_barrier_) continue;  // previous change-over still in flight
     if (too_late()) co_return;
 
-    WADC_DEBUGLOG("[t=%9.1f] s%d replanner: planning (client at %d)",
-                  sim_.now(), services_.params().session_id,
-                  services_.client_next_iteration());
     const sim::SimTime replan_begin = sim_.now();
     ReplanDecision decision = co_await policy.replan(services_);
     ++stats_.replans;
@@ -180,9 +176,6 @@ sim::Task<void> ChangeOverCoordinator::replanner_process(
           {{"client_iteration", services_.client_next_iteration()},
            {"plan_s", sim_.now() - replan_begin}});
     }
-    WADC_DEBUGLOG("[t=%9.1f] s%d replanner: %s", sim_.now(),
-                  services_.params().session_id,
-                  decision.changed ? "CHANGED" : "unchanged");
     if (services_.finished()) co_return;
     if (services_.faults_active()) {
       // The plan was computed from possibly-stale knowledge; never adopt a
@@ -235,9 +228,6 @@ sim::Task<void> ChangeOverCoordinator::barrier_coordinator(int version) {
                             {"server", r.server},
                             {"iteration", r.iteration}});
     }
-    WADC_DEBUGLOG("[t=%9.1f] s%d barrier v%d: report %d/%d (server %d @ iter %d)",
-                  sim_.now(), services_.params().session_id, version, reports,
-                  servers, r.server, r.iteration);
   }
   if (obs_.tracer) {
     obs_.tracer->complete("barrier", "barrier_collect", tree_.client_host(),
@@ -250,8 +240,6 @@ sim::Task<void> ChangeOverCoordinator::barrier_coordinator(int version) {
   WADC_ASSERT(active_barrier_ && active_barrier_->version == version,
               "barrier vanished mid-coordination");
   active_barrier_->switch_iteration = switch_iteration;
-  WADC_DEBUGLOG("[t=%9.1f] s%d barrier v%d: switch at iteration %d", sim_.now(),
-                services_.params().session_id, version, switch_iteration);
   epochs_.push_back(PlanEpoch{switch_iteration, active_barrier_->new_tree,
                               active_barrier_->new_placement});
   if (obs_.decisions) {
@@ -291,8 +279,6 @@ sim::Task<void> ChangeOverCoordinator::barrier_coordinator(int version) {
       ReleaseState& rs = release_state(h);
       rs.released_version = version;
       rs.event->trigger();
-      WADC_DEBUGLOG("[t=%9.1f] barrier v%d: released host %d", sim_.now(),
-                    version, h);
     }
   }
   if (obs_.tracer) {
@@ -324,8 +310,6 @@ sim::Task<void> ChangeOverCoordinator::release_host(net::HostId h,
     rs.released_version = version;
     rs.event->trigger();
   }
-  WADC_DEBUGLOG("[t=%9.1f] barrier v%d: released host %d", sim_.now(),
-                version, h);
 }
 
 sim::Task<void> ChangeOverCoordinator::operator_window(core::OperatorId op,
@@ -339,9 +323,6 @@ sim::Task<void> ChangeOverCoordinator::operator_window(core::OperatorId op,
          st.pending_version_forwarded >= active_barrier_->version &&
          release_state(actual_location_[static_cast<std::size_t>(op)])
                  .released_version < active_barrier_->version) {
-    WADC_DEBUGLOG("[t=%9.1f] s%d operator %d (host %d) waiting for release",
-                  sim_.now(), services_.params().session_id, op,
-                  actual_location_[static_cast<std::size_t>(op)]);
     co_await release_state(actual_location_[static_cast<std::size_t>(op)])
         .event->wait();
   }
@@ -442,8 +423,6 @@ sim::Task<void> ChangeOverCoordinator::relocate(core::OperatorId op,
   ++stats_.relocations;
   stats_.relocation_trace.push_back(
       RelocationEvent{sim_.now(), op, from, to});
-  WADC_DEBUGLOG("[t=%9.1f] relocated operator %d: host %d -> host %d",
-                sim_.now(), op, from, to);
 }
 
 net::HostId ChangeOverCoordinator::choose_repair_host(core::OperatorId op) {
@@ -525,9 +504,6 @@ void ChangeOverCoordinator::apply_repair_move(core::OperatorId op,
   // Anything parked on the dead host's release event (barrier stall loops
   // re-check their condition on wake) must notice the operator has moved.
   release_state(from).event->trigger();
-  WADC_DEBUGLOG("[t=%9.1f] repair: relocated operator %d off dead host %d "
-                "-> host %d",
-                sim_.now(), op, from, to);
 }
 
 sim::Task<void> ChangeOverCoordinator::repair_process() {

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/assert.h"
-#include "dataflow/debug_log.h"
 
 namespace wadc::dataflow {
 
@@ -100,8 +99,10 @@ Engine::Engine(sim::Simulation& sim, net::Network& network,
         [this](const fault::FaultEvent& ev) { on_fault_event(ev); });
   }
   channel_.set_retry_listener(
-      {[](void* ctx, net::HostId from, net::HostId to, int attempt) {
-         static_cast<Engine*>(ctx)->note_retry(from, to, attempt);
+      {[](void* ctx, net::HostId from, net::HostId to, int attempt,
+          double backoff_seconds) {
+         static_cast<Engine*>(ctx)->note_retry(from, to, attempt,
+                                               backoff_seconds);
        },
        this});
   if (params_.session_id >= 0) {
@@ -257,7 +258,8 @@ void Engine::abort_run(std::string reason) {
   sim_.request_stop();
 }
 
-void Engine::note_retry(net::HostId from, net::HostId to, int attempt) {
+void Engine::note_retry(net::HostId from, net::HostId to, int attempt,
+                        double backoff_seconds) {
   ++stats_.failure_summary.transfer_retries;
   if (obs_.metrics) {
     if (!retries_counter_) {
@@ -275,7 +277,7 @@ void Engine::note_retry(net::HostId from, net::HostId to, int attempt) {
         {{"from", from},
          {"to", to},
          {"attempt", attempt},
-         {"backoff_s", channel_.retry_backoff(attempt)}});
+         {"backoff_s", backoff_seconds}});
   }
 }
 
@@ -478,10 +480,6 @@ sim::Task<void> Engine::client_process() {
                            obs::kControlLane, sim_.now(),
                            {{"iteration", iter}});
     }
-    if (iter % 20 == 0 || cached) {
-      WADC_DEBUGLOG("[t=%9.1f] s%d client got iteration %d%s", sim_.now(),
-                    params_.session_id, iter, cached ? " (cache)" : "");
-    }
   }
   stats_.completion_seconds = sim_.now();
   done_ = true;
@@ -595,9 +593,6 @@ sim::Task<void> Engine::operator_process(core::OperatorId op) {
       // here would strand a pending version above this subtree and
       // deadlock the barrier. The prefetch consults the cache first, so a
       // hit streak still cascades as prunes with zero transfers.
-      WADC_DEBUGLOG("[t=%9.1f] s%d op %d pruned iter %d (held=%d)",
-                    sim_.now(), params_.session_id, op, iter,
-                    held.has_value() ? 1 : 0);
       if (!held) co_await send_prunes_to_children(op, iter);
       held.reset();
       co_await relocation_window(op, iter);

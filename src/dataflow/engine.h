@@ -164,7 +164,8 @@ class Engine : private EngineServices {
   // Synchronous fault notification (runs inside the injector's event).
   void on_fault_event(const fault::FaultEvent& ev);
   void abort_run(std::string reason);
-  void note_retry(net::HostId from, net::HostId to, int attempt);
+  void note_retry(net::HostId from, net::HostId to, int attempt,
+                  double backoff_seconds);
 
   // Detached-mode completion: finalizes stats and fires on_done_ once.
   void finish_detached();

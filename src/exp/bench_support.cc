@@ -1,59 +1,42 @@
 #include "exp/bench_support.h"
 
-#include <cerrno>
-#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
+#include "common/parse.h"
 #include "exp/parallel.h"
 
 namespace wadc::exp {
-
-namespace {
-
-bool parse_jobs_value(const char* s, int& out) {
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (*s == '\0' || *end != '\0' || errno != 0 || v < 0 || v > 1 << 20) {
-    return false;
-  }
-  if (v == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    out = hw == 0 ? 1 : static_cast<int>(hw);
-  } else {
-    out = static_cast<int>(v);
-  }
-  return true;
-}
-
-}  // namespace
 
 BenchOptions parse_bench_options(int argc, char** argv, const char* name) {
   BenchOptions opt;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (std::strncmp(arg, "--jobs=", 7) == 0) {
-      if (!parse_jobs_value(arg + 7, opt.jobs)) {
-        std::fprintf(stderr, "invalid integer for --jobs: '%s'\n", arg + 7);
+    if (auto v = flag_value(arg, "--jobs")) {
+      const std::optional<int> jobs = parse_jobs(*v);
+      if (!jobs) {
+        std::fprintf(stderr, "invalid integer for --jobs: '%s'\n",
+                     v->c_str());
         std::exit(2);
       }
-    } else if (std::strncmp(arg, "--bench-out=", 12) == 0) {
-      if (arg[12] == '\0') {
+      opt.jobs = *jobs;
+    } else if (auto vb = flag_value(arg, "--bench-out")) {
+      if (vb->empty()) {
         std::fprintf(stderr, "--bench-out requires a file path\n");
         std::exit(2);
       }
-      opt.bench_out = arg + 12;
-    } else if (std::strncmp(arg, "--profile-out=", 14) == 0) {
-      if (arg[14] == '\0') {
+      opt.bench_out = *vb;
+    } else if (auto vp = flag_value(arg, "--profile-out")) {
+      if (vp->empty()) {
         std::fprintf(stderr, "--profile-out requires a file path\n");
         std::exit(2);
       }
-      opt.profile_out = arg + 14;
+      opt.profile_out = *vp;
     } else if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
       std::fprintf(stderr,
                    "usage: %s [--jobs=N] [--bench-out=FILE] "
@@ -84,17 +67,10 @@ BenchHarness::BenchHarness(int argc, char** argv, const char* name)
 }
 
 int BenchHarness::finish(int resolved_jobs) {
-  BenchReport report;
-  report.name = name_;
-  report.jobs = resolved_jobs >= 0 ? resolved_jobs
-                                   : resolve_jobs(options_.jobs);
-  report.runs = runs_;
-  report.wall_seconds = timer_.seconds();
-  report.hardware_concurrency =
-      static_cast<int>(std::thread::hardware_concurrency());
-#ifdef WADC_BUILD_TYPE
-  report.build_type = WADC_BUILD_TYPE;
-#endif
+  const BenchReport report = make_bench_report(
+      name_,
+      resolved_jobs >= 0 ? resolved_jobs : resolve_jobs(options_.jobs), runs_,
+      timer_.seconds());
   print_bench_report(report);
   if (!options_.bench_out.empty()) {
     try {
@@ -113,6 +89,21 @@ int BenchHarness::finish(int resolved_jobs) {
     }
   }
   return 0;
+}
+
+BenchReport make_bench_report(std::string name, int jobs, long long runs,
+                              double wall_seconds) {
+  BenchReport report;
+  report.name = std::move(name);
+  report.jobs = jobs;
+  report.runs = runs;
+  report.wall_seconds = wall_seconds;
+  report.hardware_concurrency =
+      static_cast<int>(std::thread::hardware_concurrency());
+#ifdef WADC_BUILD_TYPE
+  report.build_type = WADC_BUILD_TYPE;
+#endif
+  return report;
 }
 
 void print_bench_report(const BenchReport& report) {

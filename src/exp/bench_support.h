@@ -54,6 +54,11 @@ struct BenchReport {
   }
 };
 
+// A report with the machine/build context filled in from this process and
+// build. Every BENCH_*.json writer builds its report here.
+BenchReport make_bench_report(std::string name, int jobs, long long runs,
+                              double wall_seconds);
+
 // "[bench] name: R runs in W s (X runs/s, jobs=J)" on stderr, keeping the
 // figure data on stdout untouched.
 void print_bench_report(const BenchReport& report);

@@ -1,9 +1,5 @@
 #include "exp/experiment.h"
 
-#include <cerrno>
-#include <climits>
-#include <cstdio>
-#include <cstdlib>
 #include <deque>
 #include <iterator>
 #include <memory>
@@ -13,6 +9,7 @@
 
 #include "cache/fabric.h"
 #include "common/assert.h"
+#include "common/parse.h"
 #include "dataflow/engine.h"
 #include "exp/parallel.h"
 #include "exp/timeline_sampler.h"
@@ -487,32 +484,11 @@ std::vector<AlgorithmSeries> run_local_extras_sweep(
 }
 
 int env_configs(int fallback) {
-  const char* s = std::getenv("WADC_CONFIGS");
-  if (s == nullptr) return fallback;
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (*s == '\0' || *end != '\0' || errno != 0 || v <= 0 || v > INT_MAX) {
-    std::fprintf(stderr,
-                 "invalid WADC_CONFIGS: '%s' (want a positive integer)\n", s);
-    std::exit(2);
-  }
-  return static_cast<int>(v);
+  return env_number<int>("WADC_CONFIGS", 1).value_or(fallback);
 }
 
 std::uint64_t env_seed(std::uint64_t fallback) {
-  const char* s = std::getenv("WADC_SEED");
-  if (s == nullptr) return fallback;
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (*s == '\0' || *end != '\0' || errno != 0 || s[0] == '-') {
-    std::fprintf(stderr,
-                 "invalid WADC_SEED: '%s' (want a non-negative integer)\n",
-                 s);
-    std::exit(2);
-  }
-  return v;
+  return env_number<std::uint64_t>("WADC_SEED", 0).value_or(fallback);
 }
 
 }  // namespace wadc::exp

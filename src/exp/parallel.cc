@@ -2,15 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 #include "common/assert.h"
+#include "common/parse.h"
 
 namespace wadc::exp {
 
@@ -23,20 +21,16 @@ int hardware_jobs() {
 
 }  // namespace
 
+std::optional<int> parse_jobs(std::string_view text) {
+  const std::optional<int> jobs = parse_number<int>(text);
+  if (!jobs || *jobs < 0) return std::nullopt;
+  return *jobs == 0 ? hardware_jobs() : *jobs;
+}
+
 int env_jobs(int fallback) {
-  const char* s = std::getenv("WADC_JOBS");
-  if (s == nullptr) return fallback;
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (*s == '\0' || *end != '\0' || errno != 0 || v < 0 || v > 1 << 20) {
-    std::fprintf(stderr,
-                 "invalid WADC_JOBS: '%s' (want a non-negative integer; "
-                 "0 = all hardware threads)\n",
-                 s);
-    std::exit(2);
-  }
-  return v == 0 ? hardware_jobs() : static_cast<int>(v);
+  const std::optional<int> jobs = env_number<int>("WADC_JOBS", 0);
+  if (!jobs) return fallback;
+  return *jobs == 0 ? hardware_jobs() : *jobs;
 }
 
 int resolve_jobs(int requested) {

@@ -6,6 +6,8 @@
 #pragma once
 
 #include <functional>
+#include <optional>
+#include <string_view>
 
 namespace wadc::exp {
 
@@ -14,9 +16,12 @@ namespace wadc::exp {
 // selects all hardware threads), otherwise 1 (serial).
 int resolve_jobs(int requested);
 
-// WADC_JOBS override with strict parsing: a non-negative integer, where 0
-// selects all hardware threads. Garbage is fatal (exit 2), never silently
-// ignored.
+// A --jobs or WADC_JOBS value: a whole non-negative decimal integer, where
+// 0 selects all hardware threads. nullopt for anything else.
+std::optional<int> parse_jobs(std::string_view text);
+
+// WADC_JOBS override with the same meaning as --jobs. Garbage is fatal
+// (exit 2), never silently ignored.
 int env_jobs(int fallback);
 
 // Runs fn(i) exactly once for every i in [0, n), on up to `jobs` worker

@@ -1,105 +1,60 @@
 #include "fault/spec_io.h"
 
-#include <fstream>
-#include <sstream>
-#include <stdexcept>
+#include "common/parse.h"
 
 namespace wadc::fault {
-namespace {
 
-[[noreturn]] void fail(int line_no, const std::string& why) {
-  throw std::runtime_error("fault spec line " + std::to_string(line_no) +
-                           ": " + why);
-}
-
-double read_double(std::istringstream& in, int line_no, const char* what) {
-  double v = 0;
-  if (!(in >> v)) fail(line_no, std::string("expected ") + what);
-  return v;
-}
-
-int read_int(std::istringstream& in, int line_no, const char* what) {
-  int v = 0;
-  if (!(in >> v)) fail(line_no, std::string("expected ") + what);
-  return v;
-}
-
-void expect_end(std::istringstream& in, int line_no) {
-  std::string extra;
-  if (in >> extra) fail(line_no, "unexpected trailing token '" + extra + "'");
-}
-
-}  // namespace
+constexpr const char* kSpec = "fault spec";
 
 FaultSpec parse_fault_spec(const std::string& text) {
   FaultSpec spec;
-  std::istringstream lines(text);
-  std::string raw;
-  int line_no = 0;
-  while (std::getline(lines, raw)) {
-    ++line_no;
-    const auto hash = raw.find('#');
-    if (hash != std::string::npos) raw.erase(hash);
-    std::istringstream in(raw);
-    std::string keyword;
-    if (!(in >> keyword)) continue;  // blank or comment-only line
-
+  for_each_spec_line(kSpec, text, [&spec](SpecLine& line) {
+    const std::string keyword = line.word("keyword");
     if (keyword == "drop") {
-      spec.drop_probability = read_double(in, line_no, "drop probability");
-      expect_end(in, line_no);
+      spec.drop_probability = line.read<double>("drop probability");
     } else if (keyword == "crash") {
       HostCrash c;
-      c.host = read_int(in, line_no, "host id");
-      c.at = read_double(in, line_no, "crash time");
-      double restart = 0;
-      if (in >> restart) c.restart_at = restart;
-      expect_end(in, line_no);
+      c.host = line.read<int>("host id");
+      c.at = line.read<double>("crash time");
+      if (const auto restart = line.read_optional<double>("restart time")) {
+        c.restart_at = *restart;
+      }
       spec.crashes.push_back(c);
     } else if (keyword == "blackout") {
       LinkBlackout b;
-      b.a = read_int(in, line_no, "host id");
-      b.b = read_int(in, line_no, "host id");
-      b.begin = read_double(in, line_no, "blackout begin");
-      b.end = read_double(in, line_no, "blackout end");
-      expect_end(in, line_no);
+      b.a = line.read<int>("host id");
+      b.b = line.read<int>("host id");
+      b.begin = line.read<double>("blackout begin");
+      b.end = line.read<double>("blackout end");
       spec.blackouts.push_back(b);
     } else if (keyword == "rate") {
-      std::string what;
-      if (!(in >> what)) fail(line_no, "expected 'crash' or 'blackout'");
+      const std::string what = line.word("'crash' or 'blackout'");
       if (what == "crash") {
         spec.random.crash_rate_per_hour =
-            read_double(in, line_no, "crash rate per hour");
+            line.read<double>("crash rate per hour");
         spec.random.mean_downtime_seconds =
-            read_double(in, line_no, "mean downtime seconds");
+            line.read<double>("mean downtime seconds");
       } else if (what == "blackout") {
         spec.random.blackout_rate_per_hour =
-            read_double(in, line_no, "blackout rate per hour");
+            line.read<double>("blackout rate per hour");
         spec.random.mean_blackout_seconds =
-            read_double(in, line_no, "mean blackout seconds");
+            line.read<double>("mean blackout seconds");
       } else {
-        fail(line_no, "unknown rate kind '" + what + "'");
+        line.fail("unknown rate kind '" + what + "'");
       }
-      expect_end(in, line_no);
     } else if (keyword == "horizon") {
-      spec.random.horizon_seconds =
-          read_double(in, line_no, "horizon seconds");
-      expect_end(in, line_no);
+      spec.random.horizon_seconds = line.read<double>("horizon seconds");
     } else if (keyword == "protect_client") {
-      spec.random.protect_client = read_int(in, line_no, "0 or 1") != 0;
-      expect_end(in, line_no);
+      spec.random.protect_client = line.read<int>("0 or 1") != 0;
     } else {
-      fail(line_no, "unknown keyword '" + keyword + "'");
+      line.fail("unknown keyword '" + keyword + "'");
     }
-  }
+  });
   return spec;
 }
 
 FaultSpec load_fault_spec_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open fault spec: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_fault_spec(buffer.str());
+  return parse_fault_spec(read_spec_file(kSpec, path));
 }
 
 }  // namespace wadc::fault

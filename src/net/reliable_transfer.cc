@@ -37,10 +37,11 @@ sim::Task<bool> ReliableChannel::send(
       co_return true;
     }
     if (attempt >= policy_.max_retries || cancelled()) co_return false;
+    const double backoff = retry_backoff(attempt);
     if (retry_listener_.fn != nullptr) {
-      retry_listener_.fn(retry_listener_.ctx, from, to, attempt);
+      retry_listener_.fn(retry_listener_.ctx, from, to, attempt, backoff);
     }
-    co_await network_.simulation().delay(retry_backoff(attempt));
+    co_await network_.simulation().delay(backoff);
   }
 }
 

@@ -48,7 +48,9 @@ struct RetryPolicy {
 
 class ReliableChannel {
  public:
-  // Observes each retry (for stats/tracing): (from, to, attempt index).
+  // Observes each retry (for stats/tracing): (from, to, attempt index,
+  // the backoff the channel is about to wait). The backoff is drawn once,
+  // before the listener runs, so observing a retry never consumes jitter.
   // A raw function-pointer + context pair, not a std::function: the
   // listener sits on the retry hot path and the event-queue work (PR 2)
   // set the policy that kernel-level callbacks never type-erase through a
@@ -57,7 +59,8 @@ class ReliableChannel {
   // of one co_await at the call site — never stored, never copied — and
   // every caller passes a small-capture lambda; see docs/PERFORMANCE.md.)
   struct RetryListener {
-    void (*fn)(void* ctx, HostId from, HostId to, int attempt) = nullptr;
+    void (*fn)(void* ctx, HostId from, HostId to, int attempt,
+               double backoff_seconds) = nullptr;
     void* ctx = nullptr;
   };
 

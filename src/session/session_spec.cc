@@ -1,50 +1,13 @@
 #include "session/session_spec.h"
 
 #include <cmath>
-#include <fstream>
 #include <set>
-#include <sstream>
-#include <stdexcept>
+
+#include "common/parse.h"
 
 namespace wadc::session {
-namespace {
 
-[[noreturn]] void fail(int line_no, const std::string& why) {
-  throw std::runtime_error("session spec line " + std::to_string(line_no) +
-                           ": " + why);
-}
-
-double read_double(std::istringstream& in, int line_no, const char* what) {
-  double v = 0;
-  if (!(in >> v)) fail(line_no, std::string("expected ") + what);
-  return v;
-}
-
-int read_int(std::istringstream& in, int line_no, const char* what) {
-  int v = 0;
-  if (!(in >> v)) fail(line_no, std::string("expected ") + what);
-  return v;
-}
-
-void expect_end(std::istringstream& in, int line_no) {
-  std::string extra;
-  if (in >> extra) fail(line_no, "unexpected trailing token '" + extra + "'");
-}
-
-// Parses the numeric value of a `key=value` token; the whole value must be
-// consumed (id=3x is an error, not 3).
-double keyed_value(const std::string& token, std::size_t eq, int line_no) {
-  const std::string value = token.substr(eq + 1);
-  std::istringstream in(value);
-  double v = 0;
-  char extra = 0;
-  if (!(in >> v) || (in >> extra)) {
-    fail(line_no, "malformed value in '" + token + "'");
-  }
-  return v;
-}
-
-}  // namespace
+constexpr const char* kSpec = "session spec";
 
 const char* admission_policy_name(AdmissionPolicy policy) {
   switch (policy) {
@@ -203,127 +166,100 @@ SessionSpec parse_session_spec(const std::string& text) {
   bool have_explicit = false;
   bool have_open = false;
   bool have_closed = false;
-  std::istringstream lines(text);
-  std::string raw;
-  int line_no = 0;
-  while (std::getline(lines, raw)) {
-    ++line_no;
-    const auto hash = raw.find('#');
-    if (hash != std::string::npos) raw.erase(hash);
-    std::istringstream in(raw);
-    std::string keyword;
-    if (!(in >> keyword)) continue;  // blank or comment-only line
-
+  const int lines = for_each_spec_line(kSpec, text, [&](SpecLine& line) {
+    const std::string keyword = line.word("keyword");
     if (keyword == "session") {
       if (have_open || have_closed) {
-        fail(line_no, "'session' cannot be combined with open/closed mode");
+        line.fail("'session' cannot be combined with open/closed mode");
       }
       have_explicit = true;
       spec.mode = ArrivalMode::kExplicit;
       ExplicitArrival a;
-      a.arrival_seconds = read_double(in, line_no, "arrival seconds");
+      a.arrival_seconds = line.read<double>("arrival seconds");
       // Optional key=value tokens: id=<n>, deadline=<s>.
-      std::string token;
-      while (in >> token) {
-        const auto eq = token.find('=');
-        const std::string key =
-            eq == std::string::npos ? token : token.substr(0, eq);
-        if (eq == std::string::npos) {
-          fail(line_no, "unexpected trailing token '" + token + "'");
-        } else if (key == "id") {
-          a.id = static_cast<int>(keyed_value(token, eq, line_no));
-          if (a.id < 0) fail(line_no, "session id must be >= 0");
-        } else if (key == "deadline") {
-          a.deadline_seconds = keyed_value(token, eq, line_no);
+      while (const auto kv = line.read_key_value()) {
+        if (kv->key == "id") {
+          a.id = line.value<int>(*kv);
+          if (a.id < 0) line.fail("session id must be >= 0");
+        } else if (kv->key == "deadline") {
+          a.deadline_seconds = line.value<double>(*kv);
         } else {
-          fail(line_no, "unknown session option '" + key + "'");
+          line.fail("unknown session option '" + kv->key + "'");
         }
       }
       if (a.id < 0) a.id = static_cast<int>(spec.arrivals.size());
       spec.arrivals.push_back(a);
     } else if (keyword == "open") {
       if (have_explicit || have_closed || have_open) {
-        fail(line_no, "only one arrival mode may be specified");
+        line.fail("only one arrival mode may be specified");
       }
       have_open = true;
       spec.mode = ArrivalMode::kOpenLoop;
-      spec.open_count = read_int(in, line_no, "session count");
-      spec.open_rate_per_hour = read_double(in, line_no, "rate per hour");
-      expect_end(in, line_no);
+      spec.open_count = line.read<int>("session count");
+      spec.open_rate_per_hour = line.read<double>("rate per hour");
     } else if (keyword == "closed") {
       if (have_explicit || have_open || have_closed) {
-        fail(line_no, "only one arrival mode may be specified");
+        line.fail("only one arrival mode may be specified");
       }
       have_closed = true;
       spec.mode = ArrivalMode::kClosedLoop;
-      spec.clients = read_int(in, line_no, "client count");
-      spec.queries_per_client = read_int(in, line_no, "queries per client");
-      spec.think_seconds = read_double(in, line_no, "think seconds");
-      expect_end(in, line_no);
+      spec.clients = line.read<int>("client count");
+      spec.queries_per_client = line.read<int>("queries per client");
+      spec.think_seconds = line.read<double>("think seconds");
     } else if (keyword == "defer_cap") {
       spec.admission.max_defer_seconds =
-          read_double(in, line_no, "deferral cap seconds");
-      expect_end(in, line_no);
+          line.read<double>("deferral cap seconds");
     } else if (keyword == "admission") {
-      std::string policy;
-      if (!(in >> policy)) {
-        fail(line_no, "expected 'unbounded', 'cap', 'bandwidth', 'shed', "
-                      "'deadline' or 'degrade'");
-      }
+      const std::string policy =
+          line.word("'unbounded', 'cap', 'bandwidth', 'shed', 'deadline' or "
+                    "'degrade'");
       if (policy == "unbounded") {
         spec.admission.policy = AdmissionPolicy::kUnbounded;
-        expect_end(in, line_no);
       } else if (policy == "cap") {
         spec.admission.policy = AdmissionPolicy::kFixedCap;
         spec.admission.max_concurrent =
-            read_int(in, line_no, "max concurrent sessions");
-        expect_end(in, line_no);
+            line.read<int>("max concurrent sessions");
       } else if (policy == "bandwidth") {
         spec.admission.policy = AdmissionPolicy::kBandwidthAware;
         spec.admission.min_bandwidth =
-            read_double(in, line_no, "minimum bandwidth (bytes/second)");
-        double recheck = 0;
-        if (in >> recheck) spec.admission.recheck_seconds = recheck;
-        expect_end(in, line_no);
+            line.read<double>("minimum bandwidth (bytes/second)");
+        if (const auto recheck =
+                line.read_optional<double>("recheck seconds")) {
+          spec.admission.recheck_seconds = *recheck;
+        }
       } else if (policy == "shed") {
         spec.admission.policy = AdmissionPolicy::kLoadShedding;
         spec.admission.max_concurrent =
-            read_int(in, line_no, "max concurrent sessions");
-        int max_queue = 0;
-        if (in >> max_queue) spec.admission.max_queue = max_queue;
-        expect_end(in, line_no);
+            line.read<int>("max concurrent sessions");
+        if (const auto max_queue = line.read_optional<int>("max queue")) {
+          spec.admission.max_queue = *max_queue;
+        }
       } else if (policy == "deadline") {
         spec.admission.policy = AdmissionPolicy::kDeadlineAware;
         spec.admission.deadline_seconds =
-            read_double(in, line_no, "deadline seconds");
-        expect_end(in, line_no);
+            line.read<double>("deadline seconds");
       } else if (policy == "degrade") {
         spec.admission.policy = AdmissionPolicy::kDegrading;
         spec.admission.max_concurrent =
-            read_int(in, line_no, "max concurrent sessions");
-        expect_end(in, line_no);
+            line.read<int>("max concurrent sessions");
       } else {
-        fail(line_no, "unknown admission policy '" + policy + "'");
+        line.fail("unknown admission policy '" + policy + "'");
       }
     } else {
-      fail(line_no, "unknown keyword '" + keyword + "'");
+      line.fail("unknown keyword '" + keyword + "'");
     }
-  }
+  });
   if (!have_explicit && !have_open && !have_closed) {
-    fail(line_no == 0 ? 1 : line_no, "spec defines no sessions");
+    spec_error(kSpec, lines == 0 ? 1 : lines, "spec defines no sessions");
   }
   if (const std::string problem = spec.validate(); !problem.empty()) {
-    fail(line_no, problem);
+    spec_error(kSpec, lines, problem);
   }
   return spec;
 }
 
 SessionSpec load_session_spec_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open session spec: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return parse_session_spec(buffer.str());
+  return parse_session_spec(read_spec_file(kSpec, path));
 }
 
 }  // namespace wadc::session

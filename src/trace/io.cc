@@ -1,34 +1,72 @@
 #include "trace/io.h"
 
+#include <cstdint>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
+
+#include "common/parse.h"
 
 namespace wadc::trace {
 
 namespace {
 
-[[noreturn]] void malformed(const std::string& what) {
-  throw std::runtime_error("malformed trace input: " + what);
-}
+constexpr const char* kSpec = "trace input";
 
-std::string read_line(std::istream& in, const std::string& context) {
-  std::string line;
-  if (!std::getline(in, line)) malformed("unexpected end of input at " + context);
-  return line;
-}
+// Reads the format one numbered line at a time, so every error names its
+// line ("trace input line N: ...").
+class TraceReader {
+ public:
+  explicit TraceReader(std::istream& in) : in_(in) {}
 
-void expect_line(std::istream& in, const std::string& expected) {
-  const std::string line = read_line(in, expected);
-  if (line != expected) malformed("expected '" + expected + "', got '" + line + "'");
-}
+  // Fails unless the next line is exactly `header`.
+  void expect(const std::string& header) {
+    const std::string text = next(header);
+    if (text != header) {
+      spec_error(kSpec, line_no_,
+                 "expected '" + header + "', got '" + text + "'");
+    }
+  }
 
-double read_keyed_number(std::istream& in, const std::string& key) {
-  std::istringstream line(read_line(in, key));
-  std::string k;
-  double v = 0;
-  if (!(line >> k >> v) || k != key) malformed("expected '" + key + " <value>'");
-  return v;
+  // The one number on the next line, after the word `what` when `keyed`.
+  // Every number in the format must be positive.
+  template <typename T>
+  T positive(const char* what, bool keyed) {
+    const std::string text = next(what);
+    SpecLine line(kSpec, line_no_, text);
+    if (keyed && line.word(what) != what) {
+      line.fail(std::string("expected '") + what + " <value>'");
+    }
+    const T v = line.read_last<T>(what);
+    if (v <= 0) line.fail(std::string(what) + " must be positive");
+    return v;
+  }
+
+ private:
+  std::string next(const std::string& context) {
+    std::string text;
+    if (!std::getline(in_, text)) {
+      spec_error(kSpec, line_no_ + 1, "unexpected end of input at " + context);
+    }
+    ++line_no_;
+    return text;
+  }
+
+  std::istream& in_;
+  int line_no_ = 0;
+};
+
+// Counts come from the file, so nothing is reserved up front: a bogus huge
+// count fails at the end of the input, not in the allocator.
+BandwidthTrace read_trace(TraceReader& reader) {
+  reader.expect("wadc-trace v1");
+  const double step = reader.positive<double>("step", /*keyed=*/true);
+  const auto samples =
+      reader.positive<std::uint64_t>("samples", /*keyed=*/true);
+  std::vector<double> values;
+  for (std::uint64_t i = 0; i < samples; ++i) {
+    values.push_back(reader.positive<double>("sample", /*keyed=*/false));
+  }
+  return BandwidthTrace(step, std::move(values));
 }
 
 }  // namespace
@@ -43,22 +81,8 @@ void save_trace(const BandwidthTrace& trace, std::ostream& out) {
 }
 
 BandwidthTrace load_trace(std::istream& in) {
-  expect_line(in, "wadc-trace v1");
-  const double step = read_keyed_number(in, "step");
-  const auto samples = static_cast<std::size_t>(
-      read_keyed_number(in, "samples"));
-  if (step <= 0) malformed("non-positive step");
-  if (samples == 0) malformed("empty trace");
-  std::vector<double> values;
-  values.reserve(samples);
-  for (std::size_t i = 0; i < samples; ++i) {
-    std::istringstream line(read_line(in, "sample"));
-    double v = 0;
-    if (!(line >> v)) malformed("bad sample line");
-    if (v <= 0) malformed("non-positive sample");
-    values.push_back(v);
-  }
-  return BandwidthTrace(step, std::move(values));
+  TraceReader reader(in);
+  return read_trace(reader);
 }
 
 void save_trace_set(const std::vector<BandwidthTrace>& traces,
@@ -69,12 +93,13 @@ void save_trace_set(const std::vector<BandwidthTrace>& traces,
 }
 
 std::vector<BandwidthTrace> load_trace_set(std::istream& in) {
-  expect_line(in, "wadc-trace-set v1");
-  const auto count =
-      static_cast<std::size_t>(read_keyed_number(in, "count"));
+  TraceReader reader(in);
+  reader.expect("wadc-trace-set v1");
+  const auto count = reader.positive<std::uint64_t>("count", /*keyed=*/true);
   std::vector<BandwidthTrace> traces;
-  traces.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) traces.push_back(load_trace(in));
+  for (std::uint64_t i = 0; i < count; ++i) {
+    traces.push_back(read_trace(reader));
+  }
   return traces;
 }
 

@@ -1,12 +1,19 @@
-// Tests for the common utilities: deterministic RNG and assertions.
+// Tests for the common utilities: deterministic RNG, assertions, and the
+// strict input reader.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <limits>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/assert.h"
+#include "common/parse.h"
 #include "common/rng.h"
 
 namespace wadc {
@@ -152,6 +159,146 @@ TEST(AssertDeath, FailingAssertAbortsWithMessage) {
 
 TEST(AssertDeath, FatalAborts) {
   EXPECT_DEATH(WADC_FATAL("unreachable state ", 7), "unreachable state 7");
+}
+
+TEST(ParseNumber, AcceptsWholeDecimalTokens) {
+  EXPECT_EQ(parse_number<int>("42"), 42);
+  EXPECT_EQ(parse_number<int>("-7"), -7);
+  EXPECT_EQ(parse_number<std::uint64_t>("18446744073709551615"),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(parse_number<double>("2.5"), 2.5);
+  EXPECT_EQ(parse_number<double>("1e3"), 1000.0);
+  EXPECT_EQ(parse_number<double>("-0.125"), -0.125);
+}
+
+TEST(ParseNumber, RejectsTrailingJunk) {
+  EXPECT_FALSE(parse_number<int>("8x"));
+  EXPECT_FALSE(parse_number<std::uint64_t>("12 "));
+  EXPECT_FALSE(parse_number<double>("60x"));
+  EXPECT_FALSE(parse_number<double>("1e3x"));
+}
+
+TEST(ParseNumber, RejectsOverflow) {
+  EXPECT_FALSE(parse_number<int>("2147483648"));
+  EXPECT_FALSE(parse_number<int>("-2147483649"));
+  EXPECT_FALSE(parse_number<std::uint64_t>("18446744073709551616"));
+  EXPECT_FALSE(parse_number<double>("1e400"));
+}
+
+TEST(ParseNumber, RejectsFractionsAndExponentsWhereAnIntegerIsExpected) {
+  for (const char* text : {"1e3", "2.7", "1.0"}) {
+    EXPECT_FALSE(parse_number<int>(text)) << text;
+    EXPECT_FALSE(parse_number<std::uint64_t>(text)) << text;
+  }
+  EXPECT_FALSE(parse_number<std::uint64_t>("-3"));
+}
+
+TEST(ParseNumber, RejectsNonFiniteHexEmptyAndPadded) {
+  for (const char* text :
+       {"nan", "inf", "-inf", "infinity", "0x10", "", " 5", "+5", "-"}) {
+    EXPECT_FALSE(parse_number<int>(text)) << "'" << text << "'";
+    EXPECT_FALSE(parse_number<std::uint64_t>(text)) << "'" << text << "'";
+    EXPECT_FALSE(parse_number<double>(text)) << "'" << text << "'";
+  }
+}
+
+// The message a failing reader call throws, or "" if it does not throw.
+std::string error_of(const std::function<void()>& fn) {
+  try {
+    fn();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(SpecLine, ReadsRequiredAndOptionalFieldsInOrder) {
+  SpecLine line("fault spec", 3, "  crash 2\t100.5 250 ");
+  EXPECT_EQ(line.word("keyword"), "crash");
+  EXPECT_EQ(line.read<int>("host id"), 2);
+  EXPECT_EQ(line.read<double>("crash time"), 100.5);
+  EXPECT_EQ(line.read_optional<double>("restart time"), 250.0);
+  EXPECT_EQ(line.read_optional<double>("restart time"), std::nullopt);
+  EXPECT_TRUE(line.at_end());
+  EXPECT_EQ(error_of([&] { line.expect_end(); }), "");
+}
+
+TEST(SpecLine, MissingOrMalformedRequiredFieldFails) {
+  SpecLine line("fault spec", 7, "crash 1e3x");
+  line.word("keyword");
+  EXPECT_EQ(error_of([&] { line.read<int>("host id"); }),
+            "fault spec line 7: expected host id, got '1e3x'");
+  EXPECT_EQ(error_of([&] { line.read<double>("crash time"); }),
+            "fault spec line 7: expected crash time");
+}
+
+TEST(SpecLine, PresentButMalformedOptionalFieldFails) {
+  SpecLine line("fault spec", 1, "crash 1 100 abc");
+  line.word("keyword");
+  line.read<int>("host id");
+  line.read<double>("crash time");
+  EXPECT_EQ(error_of([&] { line.read_optional<double>("restart time"); }),
+            "fault spec line 1: expected restart time, got 'abc'");
+}
+
+TEST(SpecLine, ReadLastRejectsTrailingTokens) {
+  SpecLine line("trace input", 5, "100 200");
+  EXPECT_EQ(error_of([&] { line.read_last<double>("sample"); }),
+            "trace input line 5: unexpected trailing token '200'");
+}
+
+TEST(SpecLine, ReadsKeyValueTokens) {
+  SpecLine line("session spec", 4, "session 0 id=3 deadline=2.5 id=2.7 id");
+  line.word("keyword");
+  line.read<double>("arrival seconds");
+  const auto id = line.read_key_value();
+  ASSERT_TRUE(id);
+  EXPECT_EQ(id->key, "id");
+  EXPECT_EQ(line.value<int>(*id), 3);
+  const auto deadline = line.read_key_value();
+  ASSERT_TRUE(deadline);
+  EXPECT_EQ(line.value<double>(*deadline), 2.5);
+  const auto fraction = line.read_key_value();
+  ASSERT_TRUE(fraction);
+  EXPECT_EQ(error_of([&] { line.value<int>(*fraction); }),
+            "session spec line 4: malformed value in 'id=2.7'");
+  EXPECT_EQ(error_of([&] { line.read_key_value(); }),
+            "session spec line 4: expected key=value, got 'id'");
+  EXPECT_EQ(line.read_key_value(), std::nullopt);
+}
+
+TEST(ForEachSpecLine, SkipsCommentsAndBlankLinesAndCountsEveryLine) {
+  std::vector<std::string> keywords;
+  const int lines = for_each_spec_line(
+      "test spec", "# header\n\nfoo # note\n   \t\nbar\n",
+      [&](SpecLine& line) { keywords.push_back(line.word("keyword")); });
+  EXPECT_EQ(lines, 5);
+  EXPECT_EQ(keywords, (std::vector<std::string>{"foo", "bar"}));
+  EXPECT_EQ(error_of([] {
+              for_each_spec_line("test spec", "ok\n\nbad\n",
+                                 [](SpecLine& line) {
+                                   if (line.word("keyword") == "bad") {
+                                     line.fail("no good");
+                                   }
+                                 });
+            }),
+            "test spec line 3: no good");
+}
+
+TEST(ForEachSpecLine, UnreadTrailingTokenFailsTheLine) {
+  EXPECT_EQ(error_of([] {
+              for_each_spec_line("session spec", "\ndefer_cap 30 extra\n",
+                                 [](SpecLine& line) {
+                                   line.word("keyword");
+                                   line.read<double>("deferral cap seconds");
+                                 });
+            }),
+            "session spec line 2: unexpected trailing token 'extra'");
+}
+
+TEST(ReadSpecFile, MissingFileNamesSpecAndPath) {
+  EXPECT_EQ(error_of([] { read_spec_file("fault spec", "/nonexistent/f"); }),
+            "cannot open fault spec: /nonexistent/f");
 }
 
 }  // namespace

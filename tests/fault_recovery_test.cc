@@ -4,10 +4,13 @@
 // permanent server/client crashes abort cleanly instead of hanging.
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <tuple>
 
 #include "exp/experiment.h"
+#include "exp/export.h"
+#include "obs/decision_log.h"
 #include "trace/library.h"
 
 namespace wadc::dataflow {
@@ -62,27 +65,6 @@ TEST_P(FaultRecoveryMatrixTest, CompletesUnderTransientFaults) {
   EXPECT_LE(fs.link_blackout_ends, fs.link_blackouts);
 }
 
-TEST_P(FaultRecoveryMatrixTest, FaultRunsAreDeterministic) {
-  const auto [algorithm, seed] = GetParam();
-  if (seed > 4) GTEST_SKIP() << "determinism spot-check on the first seeds";
-  exp::ExperimentSpec spec = base_spec(algorithm, 6000 + seed);
-  spec.fault.random.crash_rate_per_hour = 0.8;
-  spec.fault.random.mean_downtime_seconds = 240;
-  spec.fault.random.horizon_seconds = 86400;
-  spec.fault.drop_probability = 0.002;
-  const auto a = exp::run_experiment(shared_library(), spec);
-  const auto b = exp::run_experiment(shared_library(), spec);
-  EXPECT_EQ(a.stats.completed, b.stats.completed);
-  EXPECT_EQ(a.completion_seconds, b.completion_seconds);
-  EXPECT_EQ(a.stats.arrival_seconds, b.stats.arrival_seconds);
-  EXPECT_EQ(a.stats.failure_summary.faults_injected,
-            b.stats.failure_summary.faults_injected);
-  EXPECT_EQ(a.stats.failure_summary.transfer_retries,
-            b.stats.failure_summary.transfer_retries);
-  EXPECT_EQ(a.stats.failure_summary.repair_relocations,
-            b.stats.failure_summary.repair_relocations);
-}
-
 std::string recovery_name(
     const ::testing::TestParamInfo<RecoveryParam>& info) {
   const auto [algorithm, seed] = info.param;
@@ -94,16 +76,62 @@ std::string recovery_name(
   return name;
 }
 
-// 4 algorithms x 16 seeds. The CI sanitizer job runs this suite via
-// `ctest -R FaultRecovery`.
+const auto kAdaptiveAlgorithms =
+    ::testing::Values(core::AlgorithmKind::kOneShot,
+                      core::AlgorithmKind::kGlobal,
+                      core::AlgorithmKind::kLocal,
+                      core::AlgorithmKind::kGlobalOrder);
+
+// 4 algorithms x 16 seeds. The CI sanitizer job runs this suite and the
+// determinism suite below via `ctest -R Fault`.
 INSTANTIATE_TEST_SUITE_P(
     SeedMatrix, FaultRecoveryMatrixTest,
-    ::testing::Combine(
-        ::testing::Values(core::AlgorithmKind::kOneShot,
-                          core::AlgorithmKind::kGlobal,
-                          core::AlgorithmKind::kLocal,
-                          core::AlgorithmKind::kGlobalOrder),
-        ::testing::Range<std::uint64_t>(1, 17)),
+    ::testing::Combine(kAdaptiveAlgorithms,
+                       ::testing::Range<std::uint64_t>(1, 17)),
+    recovery_name);
+
+// ---- determinism -----------------------------------------------------------
+
+// A fault run replays exactly from its seed, and observing it does not
+// change it: a run that records a decision log (every retry's backoff among
+// its records) must equal the same run without one.
+class FaultDeterminismTest : public ::testing::TestWithParam<RecoveryParam> {
+};
+
+TEST_P(FaultDeterminismTest, FaultRunsAreDeterministic) {
+  const auto [algorithm, seed] = GetParam();
+  exp::ExperimentSpec spec = base_spec(algorithm, 6000 + seed);
+  spec.fault.random.crash_rate_per_hour = 0.8;
+  spec.fault.random.mean_downtime_seconds = 240;
+  spec.fault.random.horizon_seconds = 86400;
+  // Loss heavy enough that retry backoffs sit on the critical path of every
+  // instance, so a shifted backoff shows up in the run.
+  spec.fault.drop_probability = 0.1;
+  const auto a = exp::run_experiment(shared_library(), spec);
+  const auto b = exp::run_experiment(shared_library(), spec);
+  obs::DecisionLog decisions;
+  exp::ExperimentSpec logged = spec;
+  logged.obs.decisions = &decisions;
+  const auto c = exp::run_experiment(shared_library(), logged);
+  ASSERT_GT(a.stats.failure_summary.transfer_retries, 0u)
+      << "the schedule must exercise retries";
+  EXPECT_GT(decisions.size(), 0u);
+  // The full run export: completion, every arrival, relocation and fault
+  // tally.
+  const auto run_json = [](const exp::RunResult& r) {
+    std::ostringstream out;
+    exp::write_run_json(r.stats, out);
+    return out.str();
+  };
+  EXPECT_EQ(run_json(a), run_json(b));
+  EXPECT_EQ(run_json(a), run_json(c))
+      << "attaching a decision log changed the run";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FirstSeeds, FaultDeterminismTest,
+    ::testing::Combine(kAdaptiveAlgorithms,
+                       ::testing::Range<std::uint64_t>(1, 5)),
     recovery_name);
 
 // ---- degradation paths -----------------------------------------------------

@@ -3,6 +3,8 @@
 
 #include <cstdio>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "trace/generator.h"
 #include "trace/io.h"
@@ -51,6 +53,28 @@ TEST(TraceIo, RejectsBadMagic) {
 TEST(TraceIo, RejectsTruncatedInput) {
   std::stringstream buffer("wadc-trace v1\nstep 10\nsamples 5\n1\n2\n");
   EXPECT_THROW(load_trace(buffer), std::runtime_error);
+}
+
+TEST(TraceIo, RejectsMalformedNumbersNamingTheLine) {
+  for (const char* text :
+       {"wadc-trace v1\nstep 10\nsamples 2\n100\n200junk\n",
+        "wadc-trace v1\nstep 10\nsamples 2\n100\n1 2\n",
+        "wadc-trace v1\nstep 10\nsamples 2.5\n100\n200\n"}) {
+    std::stringstream buffer(text);
+    try {
+      load_trace(buffer);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("trace input line"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(TraceIo, RejectsAnEmptyTraceSet) {
+  std::stringstream buffer("wadc-trace-set v1\ncount 0\n");
+  EXPECT_THROW(load_trace_set(buffer), std::runtime_error);
 }
 
 TEST(TraceIo, RejectsNonPositiveSamples) {

@@ -22,6 +22,7 @@
 //                       [--decisions=FILE] [--max-trail=N]
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -33,9 +34,11 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "common/parse.h"
 #include "exp/experiment.h"
 #include "exp/report.h"
 #include "trace/library.h"
@@ -104,14 +107,6 @@ struct Options {
   int configs = 60;
   std::string out_path;
 };
-
-std::optional<std::string> flag_value(const char* arg, const char* name) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-    return std::string(arg + len + 1);
-  }
-  return std::nullopt;
-}
 
 // ---- minimal JSON reader (inspect mode; no external dependencies) ----------
 
@@ -280,9 +275,13 @@ class JsonParser {
           if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
           // The repo's writers only emit \u00XX control escapes; decode the
           // code point as a single byte and keep anything else verbatim.
-          const std::string hex = text_.substr(pos_, 4);
+          const char* hex = text_.data() + pos_;
+          unsigned code = 0;
+          if (std::from_chars(hex, hex + 4, code, 16).ptr != hex + 4) {
+            fail("bad \\u escape");
+          }
           pos_ += 4;
-          out.push_back(static_cast<char>(std::stoi(hex, nullptr, 16)));
+          out.push_back(static_cast<char>(code));
           break;
         }
         default: fail("unknown escape");
@@ -298,13 +297,12 @@ class JsonParser {
       ++pos_;
     }
     if (pos_ == start) fail("expected a value");
+    const std::optional<double> number = parse_number<double>(
+        std::string_view(text_).substr(start, pos_ - start));
+    if (!number) fail("bad number");
     JsonValue v;
     v.kind = JsonValue::Kind::kNumber;
-    try {
-      v.number = std::stod(text_.substr(start, pos_ - start));
-    } catch (const std::exception&) {
-      fail("bad number");
-    }
+    v.number = *number;
     return v;
   }
 
@@ -402,8 +400,10 @@ std::vector<TimelineRow> load_timeline(const std::string& path) {
     if (cells.size() != 11) {
       throw std::runtime_error(path + ": malformed CSV row '" + line + "'");
     }
-    const auto num = [](const std::string& s, double fallback) {
-      return s.empty() ? fallback : std::stod(s);
+    const auto num = [&](const std::string& s, double fallback) {
+      if (s.empty()) return fallback;
+      if (const auto v = parse_number<double>(s)) return *v;
+      throw std::runtime_error(path + ": malformed CSV cell '" + s + "'");
     };
     TimelineRow row;
     row.t = num(cells[0], 0);
@@ -613,10 +613,13 @@ void print_cache_digest(const JsonValue& root) {
     if (section == nullptr) return;
     for (const auto& [name, v] : section->object) {
       (void)v;
+      // cache.host<N>.<instrument>
       if (name.rfind("cache.host", 0) != 0) continue;
       const std::size_t digits = std::strlen("cache.host");
-      const int id = std::atoi(name.c_str() + digits);
-      host_ids[id] = true;
+      const std::size_t dot = name.find('.', digits);
+      const std::optional<int> id = parse_number<int>(
+          std::string_view(name).substr(digits, dot - digits));
+      if (id) host_ids[*id] = true;
     }
   };
   collect(counters);
@@ -758,7 +761,13 @@ int run_inspect(int argc, char** argv) {
     } else if (auto v3 = flag_value(argv[i], "--decisions")) {
       opt.decisions_path = *v3;
     } else if (auto v4 = flag_value(argv[i], "--max-trail")) {
-      opt.max_trail = std::atoi(v4->c_str());
+      const std::optional<int> n = parse_number<int>(*v4);
+      if (!n || *n < 0) {
+        std::fprintf(stderr, "inspect: invalid --max-trail '%s' (want an "
+                     "integer >= 0)\n", v4->c_str());
+        return 2;
+      }
+      opt.max_trail = *n;
     } else {
       std::fprintf(stderr,
                    "usage: wadc_report inspect [--run=FILE] "
@@ -808,7 +817,13 @@ int main(int argc, char** argv) {
   Options opt;
   for (int i = 1; i < argc; ++i) {
     if (auto v = flag_value(argv[i], "--configs")) {
-      opt.configs = std::atoi(v->c_str());
+      const std::optional<int> n = parse_number<int>(*v);
+      if (!n || *n < 1) {
+        std::fprintf(stderr, "invalid --configs '%s' (want an integer >= "
+                     "1)\n", v->c_str());
+        return 2;
+      }
+      opt.configs = *n;
     } else if (auto v2 = flag_value(argv[i], "--out")) {
       opt.out_path = *v2;
     } else {

@@ -15,9 +15,6 @@
 // https://ui.perfetto.dev), --metrics-out dumps its counters/histograms.
 // Both files are byte-identical across same-seed runs:
 //   wadc_run --algorithm=global --trace-out=t.json --metrics-out=m.json
-#include <algorithm>
-#include <cerrno>
-#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -26,10 +23,10 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cache/cache_config.h"
+#include "common/parse.h"
 #include "exp/bench_support.h"
 #include "exp/experiment.h"
 #include "exp/export.h"
@@ -62,7 +59,7 @@ struct Options {
   double period_seconds = 600;
   int extras = 0;
   int configs = 1;
-  int jobs = -1;  // -1 = unset (resolve via WADC_JOBS); 0 = all hw threads
+  int jobs = 0;  // 0 = unset: resolve via WADC_JOBS
   std::uint64_t seed = 1000;
   std::uint64_t library_seed = 2026;
   bool csv = false;
@@ -147,49 +144,17 @@ void usage() {
       "  --csv                  machine-readable output\n");
 }
 
-std::optional<std::string> flag_value(const char* arg, const char* name) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-    return std::string(arg + len + 1);
-  }
-  return std::nullopt;
-}
-
-// Strict numeric parsing: the whole value must be consumed, so typos like
-// --servers=8x or --period=fast are rejected instead of silently becoming 0.
-bool to_int(const std::string& s, const char* flag, int& out) {
-  errno = 0;
-  char* end = nullptr;
-  const long v = std::strtol(s.c_str(), &end, 10);
-  if (s.empty() || *end != '\0' || errno != 0 || v < INT_MIN || v > INT_MAX) {
-    std::fprintf(stderr, "invalid integer for %s: '%s'\n", flag, s.c_str());
-    return false;
-  }
-  out = static_cast<int>(v);
-  return true;
-}
-
-bool to_u64(const std::string& s, const char* flag, std::uint64_t& out) {
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (s.empty() || *end != '\0' || errno != 0 || s[0] == '-') {
-    std::fprintf(stderr, "invalid integer for %s: '%s'\n", flag, s.c_str());
-    return false;
-  }
-  out = v;
-  return true;
-}
-
-bool to_double(const std::string& s, const char* flag, double& out) {
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (s.empty() || *end != '\0' || errno != 0) {
+// Strict numeric flag values (common/parse.h): typos like --servers=8x,
+// --period=fast or --time-scale=nan are rejected instead of silently
+// becoming some other number.
+template <typename T>
+bool to_number(const std::string& s, const char* flag, T& out) {
+  const std::optional<T> v = parse_number<T>(s);
+  if (!v) {
     std::fprintf(stderr, "invalid number for %s: '%s'\n", flag, s.c_str());
     return false;
   }
-  out = v;
+  out = *v;
   return true;
 }
 
@@ -224,15 +189,15 @@ bool parse(int argc, char** argv, Options& opt) {
         return false;
       }
     } else if (auto vts = flag_value(arg, "--time-scale")) {
-      if (!to_double(*vts, "--time-scale", opt.time_scale)) return false;
+      if (!to_number(*vts, "--time-scale", opt.time_scale)) return false;
       if (opt.time_scale <= 0) {
         std::fprintf(stderr, "--time-scale must be positive\n");
         return false;
       }
     } else if (auto v2 = flag_value(arg, "--servers")) {
-      if (!to_int(*v2, "--servers", opt.servers)) return false;
+      if (!to_number(*v2, "--servers", opt.servers)) return false;
     } else if (auto v3 = flag_value(arg, "--iterations")) {
-      if (!to_int(*v3, "--iterations", opt.iterations)) return false;
+      if (!to_number(*v3, "--iterations", opt.iterations)) return false;
     } else if (auto v4 = flag_value(arg, "--shape")) {
       if (*v4 == "binary") {
         opt.shape = core::TreeShape::kCompleteBinary;
@@ -245,22 +210,23 @@ bool parse(int argc, char** argv, Options& opt) {
         return false;
       }
     } else if (auto v5 = flag_value(arg, "--period")) {
-      if (!to_double(*v5, "--period", opt.period_seconds)) return false;
+      if (!to_number(*v5, "--period", opt.period_seconds)) return false;
     } else if (auto v6 = flag_value(arg, "--extras")) {
-      if (!to_int(*v6, "--extras", opt.extras)) return false;
+      if (!to_number(*v6, "--extras", opt.extras)) return false;
     } else if (auto v7 = flag_value(arg, "--configs")) {
-      if (!to_int(*v7, "--configs", opt.configs)) return false;
+      if (!to_number(*v7, "--configs", opt.configs)) return false;
     } else if (auto vj = flag_value(arg, "--jobs")) {
-      if (!to_int(*vj, "--jobs", opt.jobs)) return false;
-      if (opt.jobs < 0) {
-        std::fprintf(stderr, "--jobs must be >= 0 (0 = all hardware "
-                     "threads)\n");
+      const std::optional<int> jobs = exp::parse_jobs(*vj);
+      if (!jobs) {
+        std::fprintf(stderr, "invalid --jobs '%s' (want an integer >= 0; "
+                     "0 = all hardware threads)\n", vj->c_str());
         return false;
       }
+      opt.jobs = *jobs;
     } else if (auto v8 = flag_value(arg, "--seed")) {
-      if (!to_u64(*v8, "--seed", opt.seed)) return false;
+      if (!to_number(*v8, "--seed", opt.seed)) return false;
     } else if (auto v9 = flag_value(arg, "--library-seed")) {
-      if (!to_u64(*v9, "--library-seed", opt.library_seed)) return false;
+      if (!to_number(*v9, "--library-seed", opt.library_seed)) return false;
     } else if (auto v10 = flag_value(arg, "--trace-set")) {
       opt.trace_set_path = *v10;
     } else if (auto vcs = flag_value(arg, "--cache-spec")) {
@@ -295,7 +261,7 @@ bool parse(int argc, char** argv, Options& opt) {
       }
       opt.sessions_spec_path = *vs;
     } else if (auto vn = flag_value(arg, "--num-clients")) {
-      if (!to_int(*vn, "--num-clients", opt.num_clients)) return false;
+      if (!to_number(*vn, "--num-clients", opt.num_clients)) return false;
       if (opt.num_clients < 1) {
         std::fprintf(stderr, "--num-clients must be >= 1\n");
         return false;
@@ -323,7 +289,7 @@ bool parse(int argc, char** argv, Options& opt) {
       }
       opt.timeline_out_path = *vt;
     } else if (auto vti = flag_value(arg, "--timeline-interval")) {
-      if (!to_double(*vti, "--timeline-interval",
+      if (!to_number(*vti, "--timeline-interval",
                      opt.timeline_interval_seconds)) {
         return false;
       }
@@ -402,10 +368,23 @@ bool parse(int argc, char** argv, Options& opt) {
 // Worker-thread count for the configuration runs (shared by both modes).
 int resolve_run_jobs(const Options& opt) {
   if (opt.backend == exp::Backend::kTcp) return 1;
-  return opt.jobs < 0    ? exp::resolve_jobs(0)
-         : opt.jobs == 0 ? static_cast<int>(std::max(
-                               1u, std::thread::hardware_concurrency()))
-                         : opt.jobs;
+  return exp::resolve_jobs(opt.jobs);
+}
+
+// Writes the --bench-out report for this invocation, if requested. Returns
+// 0 on success and 2 when the report cannot be written.
+int write_bench_out(const Options& opt, int jobs, long long runs,
+                    double wall_seconds) {
+  if (opt.bench_out_path.empty()) return 0;
+  try {
+    exp::write_bench_json_file(
+        exp::make_bench_report("wadc_run", jobs, runs, wall_seconds),
+        opt.bench_out_path);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "failed to write bench report: %s\n", e.what());
+    return 2;
+  }
+  return 0;
 }
 
 // Per-run observability sinks (attached to the final configuration's run)
@@ -547,19 +526,12 @@ int run_session_mode(const Options& opt, const exp::ExperimentSpec& base_spec,
     }
   }
 
-  if (!opt.bench_out_path.empty()) {
-    exp::BenchReport report;
-    report.name = "wadc_run";
-    report.jobs = jobs;
-    report.runs = static_cast<long long>(opt.configs) *
-                  sessions.total_sessions();
-    report.wall_seconds = wall_seconds;
-    try {
-      exp::write_bench_json_file(report, opt.bench_out_path);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "failed to write bench report: %s\n", e.what());
-      exit_code = 2;
-    }
+  if (const int rc = write_bench_out(
+          opt, jobs,
+          static_cast<long long>(opt.configs) * sessions.total_sessions(),
+          wall_seconds);
+      rc != 0) {
+    exit_code = rc;
   }
   if (const int rc = run_obs.export_all(opt, profiler); rc != 0) {
     exit_code = rc;
@@ -590,7 +562,7 @@ int main(int argc, char** argv) {
       library.emplace(trace::load_trace_set_file(opt.trace_set_path));
     } catch (const std::exception& e) {
       std::fprintf(stderr, "failed to load traces: %s\n", e.what());
-      return 1;
+      return 2;
     }
   } else {
     library.emplace(trace::TraceLibraryParams{}, opt.library_seed);
@@ -805,19 +777,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!opt.bench_out_path.empty()) {
-    exp::BenchReport report;
-    report.name = "wadc_run";
-    report.jobs = jobs;
-    report.runs = static_cast<long long>(opt.configs) *
-                  (opt.with_baseline ? 2 : 1);
-    report.wall_seconds = wall_seconds;
-    try {
-      exp::write_bench_json_file(report, opt.bench_out_path);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "failed to write bench report: %s\n", e.what());
-      exit_code = 2;
-    }
+  if (const int rc = write_bench_out(
+          opt, jobs,
+          static_cast<long long>(opt.configs) * (opt.with_baseline ? 2 : 1),
+          wall_seconds);
+      rc != 0) {
+    exit_code = rc;
   }
 
   if (const int rc = run_obs.export_all(opt, profiler.get()); rc != 0) {
