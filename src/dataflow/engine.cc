@@ -673,7 +673,8 @@ sim::Task<workload::ImageSpec> Engine::fetch_and_compose(core::OperatorId op,
   if (cache_ != nullptr && !done_ && !aborted_) {
     // Register the freshly materialized sub-result. The recreate cost —
     // compose time plus shipping both inputs at the best bandwidth estimate
-    // we have — feeds the cost-aware eviction policy.
+    // we have — feeds the cost-aware eviction policy. An input produced on
+    // this host needs no transfer and adds nothing.
     const net::HostId loc = coordinator_.operator_location(op);
     double recreate = workload_.compose_seconds(out);
     const workload::ImageSpec inputs[2] = {left, right};
@@ -682,6 +683,7 @@ sim::Task<workload::ImageSpec> Engine::fetch_and_compose(core::OperatorId op,
       const net::HostId child_host =
           c.is_server() ? tree_.server_host(c.index)
                         : coordinator_.operator_location(c.index);
+      if (child_host == loc) continue;
       const double bw =
           monitoring_.cached_bandwidth(loc, loc, child_host)
               .value_or(cost_model_.params().pessimistic_bandwidth);

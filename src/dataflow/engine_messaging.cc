@@ -102,8 +102,7 @@ sim::Task<net::HostId> Engine::route_to_operator(net::HostId from,
                                                  core::OperatorId target,
                                                  int iteration, double bytes,
                                                  int priority) {
-  co_return co_await router_.route_to_operator(from, target, iteration, bytes,
-                                               priority);
+  return router_.route_to_operator(from, target, iteration, bytes, priority);
 }
 
 sim::Task<bool> Engine::send_demand_to_child(core::OperatorId from_op,

@@ -42,7 +42,11 @@ class BandwidthCache {
   int num_hosts() const { return num_hosts_; }
   sim::SimTime ttl() const { return ttl_; }
 
-  // Records a measurement; kept only if newer than the current entry.
+  // Every call naming a pair rejects a == b in all build types: a host has
+  // no link to itself, so there is no entry to read or write.
+
+  // Records a measurement (taken at sim time >= 0); kept only if newer
+  // than the current entry.
   void record(net::HostId a, net::HostId b, double bandwidth,
               sim::SimTime measured_at);
 
@@ -54,9 +58,11 @@ class BandwidthCache {
   // some consumers; the placement algorithms use lookup()).
   std::optional<Sample> lookup_any_age(net::HostId a, net::HostId b) const;
 
-  // Up to `max_entries` freshest unexpired entries, newest first — the
-  // payload source for piggybacking. The shared form returns the memoized
-  // snapshot itself (never null); the vector form copies it.
+  // Up to `max_entries` freshest unexpired entries, newest first (ties by
+  // pair) — the payload source for piggybacking. The shared form returns
+  // the memoized snapshot itself (never null); the vector form copies it.
+  // Precondition: `now` never decreases from one call to the next (sim
+  // time); a rebuild forgets the pairs it finds expired.
   Payload freshest_shared(sim::SimTime now, std::size_t max_entries) const;
   std::vector<PairSample> freshest(sim::SimTime now,
                                    std::size_t max_entries) const;
@@ -75,28 +81,43 @@ class BandwidthCache {
   std::size_t unexpired_count(sim::SimTime now) const;
 
  private:
+  static constexpr std::uint32_t kNotLive = ~std::uint32_t{0};
+
+  std::size_t index_of(net::HostId a, net::HostId b) const;
+  // Removes live_[pos] by swapping the last live pair into its place.
+  void drop_live(std::size_t pos) const;
+
   int num_hosts_;
   sim::SimTime ttl_;
   std::vector<Sample> entries_;  // indexed by pair_index; measured_at<0 = none
 
-  // Bumped on every content change (record of a newer sample, invalidate);
-  // lets freshest() memoize.
-  std::uint64_t version_ = 0;
+  // The measured pairs that may still be fresh, unordered, and each pair's
+  // position in that list (kNotLive when absent), so record() and
+  // invalidate() update it in O(1). A payload rebuild walks only this list
+  // and drops the pairs it finds expired: expiry is monotone in `now`, so
+  // a dropped pair stays out until record() measures it again.
+  struct LivePair {
+    net::HostId a;  // a < b
+    net::HostId b;
+    std::uint32_t index;  // pair_index(a, b)
+  };
+  mutable std::vector<LivePair> live_;
+  mutable std::vector<std::uint32_t> live_slot_;  // by pair_index
 
   // freshest() memo. The hottest call in a run is freshest() — once per
   // outgoing message for the piggyback payload — while the cache content
-  // changes far less often, so the scan+sort result is cached. It stays
-  // valid while (a) nothing was recorded or invalidated (version_), (b) the
+  // changes far less often, so the sorted result is cached. It stays valid
+  // while (a) nothing was recorded or invalidated (memo_stale_), (b) the
   // request shape is unchanged, and (c) no included entry has crossed its
   // TTL horizon — entries excluded at compute time stay excluded, because
   // "never measured" only changes through record() and expiry is monotone
-  // in now. Simulation time never goes backward within a version. Each
-  // rebuild allocates a fresh vector: snapshots held by in-flight messages
-  // keep the old one alive.
-  mutable Payload memo_;
+  // in now. A rebuild reuses the memo's vector only when nothing else
+  // holds it: snapshots held by in-flight messages never change.
+  mutable std::shared_ptr<std::vector<PairSample>> memo_;
+  mutable bool memo_stale_ = true;
   mutable sim::SimTime memo_valid_until_ = -1;  // min(measured_at)+ttl
   mutable std::size_t memo_max_entries_ = 0;
-  mutable std::uint64_t memo_version_ = ~std::uint64_t{0};
+  mutable sim::SimTime last_payload_now_ = -sim::kTimeInfinity;
 };
 
 }  // namespace wadc::monitor

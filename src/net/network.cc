@@ -8,6 +8,15 @@
 
 namespace wadc::net {
 
+namespace {
+
+// Orders the seq-sorted active list for std::lower_bound.
+constexpr auto seq_before = [](const auto& entry, std::uint64_t seq) {
+  return entry.seq < seq;
+};
+
+}  // namespace
+
 std::string NetworkParams::validate() const {
   if (!std::isfinite(startup_seconds) || startup_seconds < 0) {
     return "startup_seconds must be finite and >= 0, got " +
@@ -46,7 +55,7 @@ Network::Network(sim::Simulation& sim, const LinkTable& links,
 void Network::reset(const LinkTable& links, const NetworkParams& params) {
   // A finished run may leave transfers queued or in flight (e.g. probes
   // outstanding when the engine completes); their coroutine frames — and
-  // the latches/records these entries point to — were destroyed with the
+  // the awaiters these entries point to — were destroyed with the
   // simulation, so the bookkeeping entries are dropped without touching
   // them.
   pending_.clear();
@@ -154,10 +163,8 @@ double Network::session_bytes_delivered(int session) const {
   return it == session_bytes_delivered_.end() ? 0.0 : it->second;
 }
 
-void Network::note_pending_depth() {
-  if (pending_gauge_) {
-    pending_gauge_->set(static_cast<double>(pending_.size()));
-  }
+void Network::note_pending_depth(std::size_t depth) {
+  if (pending_gauge_) pending_gauge_->set(static_cast<double>(depth));
 }
 
 bool Network::host_alive(HostId h) const {
@@ -169,18 +176,10 @@ bool Network::link_blacked_out(HostId a, HostId b) const {
   return blackout_depth_[pair_index(a, b, num_hosts())] > 0;
 }
 
-bool Network::endpoints_usable(HostId src, HostId dst) const {
-  if (host_dead_[static_cast<std::size_t>(src)] ||
-      host_dead_[static_cast<std::size_t>(dst)]) {
-    return false;
-  }
-  return blackout_depth_[pair_index(src, dst, num_hosts())] == 0;
-}
-
-sim::Task<TransferRecord> Network::transfer(HostId src, HostId dst,
-                                            double bytes, int priority,
-                                            double timeout_seconds,
-                                            int session) {
+Network::TransferAwaiter Network::transfer(HostId src, HostId dst,
+                                           double bytes, int priority,
+                                           double timeout_seconds,
+                                           int session) {
   WADC_ASSERT(src >= 0 && src < num_hosts(), "bad src host");
   WADC_ASSERT(dst >= 0 && dst < num_hosts(), "bad dst host");
   WADC_ASSERT(bytes >= 0, "negative transfer size");
@@ -192,53 +191,77 @@ sim::Task<TransferRecord> Network::transfer(HostId src, HostId dst,
   record.bytes = bytes;
   record.priority = priority;
   record.session = session;
-  record.requested = sim_.now();
+  return TransferAwaiter(*this, record, timeout_seconds);
+}
 
-  if (src == dst) {
-    record.started = record.completed = sim_.now();
-    co_return record;
-  }
+bool Network::TransferAwaiter::await_ready() {
+  record_.requested = network_.sim_.now();
+  if (record_.src != record_.dst) return false;
+  record_.started = record_.completed = record_.requested;
+  return true;
+}
 
-  sim::Latch done(sim_);
+void Network::TransferAwaiter::await_suspend(std::coroutine_handle<> waiter) {
+  waiter_ = waiter;
+  network_.enqueue(*this);
+}
+
+void Network::enqueue(TransferAwaiter& transfer) {
+  const TransferRecord& record = transfer.record_;
   const std::uint64_t seq = next_seq_++;
-  Pending pending{src,   dst,     bytes,
-                  priority, seq, &done,
-                  &record, sim::kTimeInfinity, sim::kNoEventSeq};
-  if (timeout_seconds != kNoTransferTimeout) {
-    pending.deadline = sim_.now() + timeout_seconds;
+  Pending pending{record.src, record.dst, record.bytes, record.priority,
+                  seq, &transfer, sim::kTimeInfinity, sim::kNoEventSeq};
+  if (transfer.timeout_seconds_ != kNoTransferTimeout) {
+    pending.deadline = sim_.now() + transfer.timeout_seconds_;
     auto fire = [this, seq] { on_timeout(seq); };
     static_assert(sim::Callback::fits_inline<decltype(fire)>(),
                   "timeout thunks must stay allocation-free");
     pending.timeout_event =
         sim_.schedule_at_cancellable(pending.deadline, fire);
   }
-  // Insert keeping (priority desc, seq asc) order.
-  auto it = std::find_if(pending_.begin(), pending_.end(),
-                         [&](const Pending& p) {
-                           return p.priority < pending.priority;
-                         });
+  // Queue position keeping (priority desc, seq asc) order.
+  const auto it = std::partition_point(
+      pending_.begin(), pending_.end(),
+      [&](const Pending& p) { return p.priority >= pending.priority; });
   const auto overtaken = static_cast<int>(pending_.end() - it);
-  pending_.insert(it, pending);
-  inflight_bytes_ += bytes;
-  note_pending_depth();
+  inflight_bytes_ += record.bytes;
+  // Every queued transfer is blocked and an enqueue frees nothing, so the
+  // newcomer is the only one an admission pass could start. One that
+  // starts at once still passes through the queue as far as the depth
+  // gauge is concerned: up by one, then back down.
+  const bool admit = can_start(pending);
+  note_pending_depth(pending_.size() + 1);
   if (obs_.tracer) {
-    obs_.tracer->instant("net", "enqueue", src, obs::link_lane(dst),
-                         record.requested,
-                         {{"bytes", bytes}, {"priority", priority}});
+    obs_.tracer->instant("net", "enqueue", record.src,
+                         obs::link_lane(record.dst), record.requested,
+                         {{"bytes", record.bytes},
+                          {"priority", record.priority}});
     if (overtaken > 0) {
       // A control/barrier message jumped ahead of queued data (§2.2).
-      obs_.tracer->instant("net", "priority_overtake", src,
-                           obs::link_lane(dst), record.requested,
-                           {{"priority", priority}, {"overtaken", overtaken}});
+      obs_.tracer->instant("net", "priority_overtake", record.src,
+                           obs::link_lane(record.dst), record.requested,
+                           {{"priority", record.priority},
+                            {"overtaken", overtaken}});
     }
   }
   if (overtaken > 0 && overtakes_counter_) {
     overtakes_counter_->add(overtaken);
   }
-  try_start_transfers();
+  if (admit) {
+    note_pending_depth(pending_.size());
+    start(pending);
+  } else {
+    pending_.insert(it, pending);
+  }
+}
 
-  co_await done.wait();
-  co_return record;
+bool Network::can_start(const Pending& p) const {
+  const int cap = params_.host_capacity;
+  const auto src = static_cast<std::size_t>(p.src);
+  const auto dst = static_cast<std::size_t>(p.dst);
+  return active_[src] < cap && active_[dst] < cap && !host_dead_[src] &&
+         !host_dead_[dst] &&
+         blackout_depth_[pair_index(p.src, p.dst, num_hosts())] == 0;
 }
 
 void Network::try_start_transfers() {
@@ -246,21 +269,11 @@ void Network::try_start_transfers() {
   // which may block later (lower-priority) entries — exactly the behavior
   // of per-NIC priority queues. Transfers whose endpoints are dead or
   // blacked out stay queued until conditions clear or their timeout fires.
-  //
-  // This runs after every enqueue and every completion, so the scan reads
-  // the occupancy/fault vectors directly instead of going through the
-  // asserting public accessors.
-  const int cap = params_.host_capacity;
   for (std::size_t i = 0; i < pending_.size();) {
-    const Pending& p = pending_[i];
-    const auto src = static_cast<std::size_t>(p.src);
-    const auto dst = static_cast<std::size_t>(p.dst);
-    if (active_[src] < cap && active_[dst] < cap && !host_dead_[src] &&
-        !host_dead_[dst] &&
-        blackout_depth_[pair_index(p.src, p.dst, num_hosts())] == 0) {
-      Pending claimed = p;
+    if (can_start(pending_[i])) {
+      const Pending claimed = pending_[i];
       pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
-      note_pending_depth();
+      note_pending_depth(pending_.size());
       start(claimed);
       // restart not needed: starting only makes hosts busier
     } else {
@@ -269,12 +282,27 @@ void Network::try_start_transfers() {
   }
 }
 
-void Network::start(Pending p) {
+Network::ActiveIt Network::find_active(std::uint64_t seq) {
+  const auto it = std::lower_bound(active_transfers_.begin(),
+                                   active_transfers_.end(), seq, seq_before);
+  return it != active_transfers_.end() && it->seq == seq
+             ? it
+             : active_transfers_.end();
+}
+
+void Network::wake(const TransferAwaiter& transfer) {
+  auto resume = [h = transfer.waiter_] { h.resume(); };
+  static_assert(sim::Callback::fits_inline<decltype(resume)>(),
+                "resume thunks must stay allocation-free");
+  sim_.schedule_at(sim_.now(), resume);
+}
+
+void Network::start(const Pending& p) {
   ++active_[static_cast<std::size_t>(p.src)];
   ++active_[static_cast<std::size_t>(p.dst)];
 
   const sim::SimTime now = sim_.now();
-  p.record->started = now;
+  p.caller->record_.started = now;
 
   // A dropped transfer occupies its endpoints for the full duration and
   // fails at delivery time — the receiver simply never sees the message.
@@ -282,14 +310,14 @@ void Network::start(Pending p) {
                        drop_rng_->bernoulli(drop_probability_);
 
   const std::uint64_t seq = p.seq;
+  Active active{seq, p.src, p.dst, p.caller, sim::kNoEventSeq,
+                p.timeout_event, dropped};
 
   if (transport_ != nullptr) {
     // Backend-delegated delivery: the transport ships real bytes and calls
     // back (via the trampoline) when the last one lands; there is no
     // analytically scheduled completion event to cancel.
-    active_transfers_.emplace(
-        seq, Active{p.src, p.dst, p.record, p.done, sim::kNoEventSeq,
-                    p.timeout_event, dropped});
+    //
     // Charge the modeled per-message startup cost before bytes flow, like
     // the integrator path does — the monitor's app-bandwidth estimates
     // (bytes / (completed - started)) assume it. The launch is an ordinary
@@ -300,38 +328,38 @@ void Network::start(Pending p) {
     const HostId dst = p.dst;
     const double bytes = p.bytes;
     const int priority = p.priority;
-    const int session = p.record->session;
+    const int session = p.caller->record_.session;
     auto launch = [this, seq, src, dst, bytes, priority, session] {
       if (transport_ == nullptr) return;
-      if (active_transfers_.find(seq) == active_transfers_.end()) return;
+      if (find_active(seq) == active_transfers_.end()) return;
       transport_->start_transfer(src, dst, bytes, priority, session, seq);
     };
     static_assert(sim::Callback::fits_inline<decltype(launch)>(),
                   "transport launches must stay allocation-free");
     sim_.schedule_at(now + params_.startup_seconds, launch);
-    return;
+  } else {
+    const sim::SimTime tx_begin = now + params_.startup_seconds;
+    const sim::SimTime end =
+        links_->finish_time(p.src, p.dst, tx_begin, p.bytes);
+    WADC_ASSERT(end >= tx_begin, "transfer finishes before it starts");
+
+    auto complete = [this, seq] { on_complete(seq); };
+    static_assert(sim::Callback::fits_inline<decltype(complete)>(),
+                  "transfer completions must stay allocation-free");
+    active.completion_event = sim_.schedule_at_cancellable(end, complete);
   }
-
-  const sim::SimTime tx_begin = now + params_.startup_seconds;
-  const sim::SimTime end =
-      links_->finish_time(p.src, p.dst, tx_begin, p.bytes);
-  WADC_ASSERT(end >= tx_begin, "transfer finishes before it starts");
-
-  auto complete = [this, seq] { on_complete(seq); };
-  static_assert(sim::Callback::fits_inline<decltype(complete)>(),
-                "transfer completions must stay allocation-free");
-  const sim::EventSeq completion_event =
-      sim_.schedule_at_cancellable(end, complete);
-  active_transfers_.emplace(
-      seq, Active{p.src, p.dst, p.record, p.done, completion_event,
-                  p.timeout_event, dropped});
+  // Usually the newest seq, so this appends.
+  active_transfers_.insert(
+      std::lower_bound(active_transfers_.begin(), active_transfers_.end(),
+                       seq, seq_before),
+      active);
 }
 
 void Network::on_complete(std::uint64_t seq) {
-  const auto it = active_transfers_.find(seq);
+  const auto it = find_active(seq);
   WADC_ASSERT(it != active_transfers_.end(),
               "completion for unknown transfer");
-  const TransferOutcome outcome = it->second.dropped
+  const TransferOutcome outcome = it->dropped
                                       ? TransferOutcome::kFailed
                                       : TransferOutcome::kCompleted;
   finish_active(it, outcome, /*completion_fired=*/true,
@@ -350,13 +378,13 @@ void Network::transport_trampoline(void* ctx, std::uint64_t seq,
 }
 
 void Network::on_transport_resolved(std::uint64_t seq, bool delivered) {
-  const auto it = active_transfers_.find(seq);
+  const auto it = find_active(seq);
   // A timeout or injected fault may have resolved the transfer between the
   // wire delivery and this deferred event; the late completion is dropped.
   if (it == active_transfers_.end()) return;
   const TransferOutcome outcome =
-      !delivered || it->second.dropped ? TransferOutcome::kFailed
-                                       : TransferOutcome::kCompleted;
+      !delivered || it->dropped ? TransferOutcome::kFailed
+                                : TransferOutcome::kCompleted;
   finish_active(it, outcome, /*completion_fired=*/true,
                 /*timeout_fired=*/false);
 }
@@ -368,43 +396,42 @@ void Network::on_timeout(std::uint64_t seq) {
       return;
     }
   }
-  const auto it = active_transfers_.find(seq);
+  const auto it = find_active(seq);
   WADC_ASSERT(it != active_transfers_.end(), "timeout for unknown transfer");
   finish_active(it, TransferOutcome::kTimedOut, /*completion_fired=*/false,
                 /*timeout_fired=*/true);
 }
 
-void Network::finish_active(std::map<std::uint64_t, Active>::iterator it,
-                            TransferOutcome outcome, bool completion_fired,
-                            bool timeout_fired) {
-  const std::uint64_t seq = it->first;
-  const Active a = it->second;
+void Network::finish_active(ActiveIt it, TransferOutcome outcome,
+                            bool completion_fired, bool timeout_fired) {
+  const Active a = *it;
   active_transfers_.erase(it);
   if (!completion_fired) {
     sim_.cancel_scheduled(a.completion_event);
     // Backend-delegated transfers have bytes on the wire; abandon them so
     // no completion arrives for a seq that no longer exists.
-    if (transport_ != nullptr) transport_->cancel_transfer(seq);
+    if (transport_ != nullptr) transport_->cancel_transfer(a.seq);
   }
   if (!timeout_fired) sim_.cancel_scheduled(a.timeout_event);
 
   --active_[static_cast<std::size_t>(a.src)];
   --active_[static_cast<std::size_t>(a.dst)];
-  inflight_bytes_ -= a.record->bytes;
-  a.record->completed = sim_.now();
-  a.record->outcome = outcome;
+  TransferRecord& record = a.caller->record_;
+  inflight_bytes_ -= record.bytes;
+  record.completed = sim_.now();
+  record.outcome = outcome;
   if (outcome == TransferOutcome::kCompleted) {
     ++transfers_completed_;
-    bytes_delivered_ += a.record->bytes;
-    if (a.record->session != kNoSession) {
-      session_bytes_delivered_[a.record->session] += a.record->bytes;
+    bytes_delivered_ += record.bytes;
+    if (record.session != kNoSession) {
+      session_bytes_delivered_[record.session] += record.bytes;
     }
-    record_transfer_obs(*a.record);
+    record_transfer_obs(record);
   } else {
-    note_failure(*a.record);
+    note_failure(record);
   }
-  for (const TransferObserver& o : observers_) o.fn(o.ctx, *a.record);
-  a.done->set();
+  for (const TransferObserver& o : observers_) o.fn(o.ctx, record);
+  wake(*a.caller);
   try_start_transfers();
 }
 
@@ -412,14 +439,15 @@ void Network::fail_pending(std::size_t index, TransferOutcome outcome) {
   const Pending p = pending_[index];
   pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(index));
   inflight_bytes_ -= p.bytes;
-  note_pending_depth();
+  note_pending_depth(pending_.size());
   // Only timeouts resolve queued transfers, so the timeout event has fired;
   // there is no completion event yet — nothing to cancel.
-  p.record->started = p.record->completed = sim_.now();
-  p.record->outcome = outcome;
-  note_failure(*p.record);
-  for (const TransferObserver& o : observers_) o.fn(o.ctx, *p.record);
-  p.done->set();
+  TransferRecord& record = p.caller->record_;
+  record.started = record.completed = sim_.now();
+  record.outcome = outcome;
+  note_failure(record);
+  for (const TransferObserver& o : observers_) o.fn(o.ctx, record);
+  wake(*p.caller);
 }
 
 void Network::set_host_alive(HostId h, bool alive) {
@@ -430,14 +458,14 @@ void Network::set_host_alive(HostId h, bool alive) {
     return;
   }
   // Fail every in-flight transfer touching the dead host, in seq order.
-  // finish_active erases from the map (and may start unrelated queued
+  // finish_active erases from the list (and may start unrelated queued
   // transfers), so collect the victims first.
   std::vector<std::uint64_t> victims;
-  for (const auto& [seq, a] : active_transfers_) {
-    if (a.src == h || a.dst == h) victims.push_back(seq);
+  for (const Active& a : active_transfers_) {
+    if (a.src == h || a.dst == h) victims.push_back(a.seq);
   }
   for (const std::uint64_t seq : victims) {
-    const auto it = active_transfers_.find(seq);
+    const auto it = find_active(seq);
     if (it == active_transfers_.end()) continue;
     finish_active(it, TransferOutcome::kFailed, /*completion_fired=*/false,
                   /*timeout_fired=*/false);
@@ -453,13 +481,13 @@ void Network::set_link_blackout(HostId a, HostId b, bool blacked_out) {
   }
   ++blackout_depth_[idx];
   std::vector<std::uint64_t> victims;
-  for (const auto& [seq, act] : active_transfers_) {
+  for (const Active& act : active_transfers_) {
     if ((act.src == a && act.dst == b) || (act.src == b && act.dst == a)) {
-      victims.push_back(seq);
+      victims.push_back(act.seq);
     }
   }
   for (const std::uint64_t seq : victims) {
-    const auto it = active_transfers_.find(seq);
+    const auto it = find_active(seq);
     if (it == active_transfers_.end()) continue;
     finish_active(it, TransferOutcome::kFailed, /*completion_fired=*/false,
                   /*timeout_fired=*/false);

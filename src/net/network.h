@@ -28,6 +28,7 @@
 // timed-out transfers are reported too, with outcome set accordingly.
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -40,8 +41,6 @@
 #include "net/types.h"
 #include "obs/obs.h"
 #include "sim/simulation.h"
-#include "sim/sync.h"
-#include "sim/task.h"
 
 namespace wadc::net {
 
@@ -126,19 +125,48 @@ class Network {
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
-  // Moves `bytes` from src to dst; the awaiting process resumes at delivery
-  // time and receives the timing record. A transfer with src == dst is
-  // local (shared memory) and completes instantly with no startup cost.
+  // The awaitable transfer() returns. It lives in the awaiting coroutine's
+  // frame for the whole transfer — the network's queue entries point at
+  // it — so a transfer costs no frame of its own, and it can be neither
+  // copied nor moved. The process resumes through the event queue at
+  // delivery (or failure/timeout) time; a local transfer (src == dst)
+  // completes without suspending.
+  class [[nodiscard]] TransferAwaiter {
+   public:
+    TransferAwaiter(const TransferAwaiter&) = delete;
+    TransferAwaiter& operator=(const TransferAwaiter&) = delete;
+
+    bool await_ready();
+    void await_suspend(std::coroutine_handle<> waiter);
+    TransferRecord await_resume() const { return record_; }
+
+   private:
+    friend class Network;
+    TransferAwaiter(Network& network, const TransferRecord& record,
+                    double timeout_seconds)
+        : network_(network),
+          timeout_seconds_(timeout_seconds),
+          record_(record) {}
+
+    Network& network_;
+    double timeout_seconds_;
+    TransferRecord record_;
+    std::coroutine_handle<> waiter_;
+  };
+
+  // Moves `bytes` from src to dst; `co_await` it to receive the timing
+  // record at delivery time. Nothing happens until it is awaited. A
+  // transfer with src == dst is local (shared memory) and completes
+  // instantly with no startup cost.
   // If `timeout_seconds` is finite, the transfer resolves no later than
   // now + timeout_seconds, with outcome kTimedOut if it had not finished.
   // Callers must check record.ok() whenever faults can be active.
   // `session` tags the transfer with the issuing query session (wadc_session)
   // for traces/metrics; kNoSession leaves output untouched.
-  sim::Task<TransferRecord> transfer(HostId src, HostId dst, double bytes,
-                                     int priority = kDataPriority,
-                                     double timeout_seconds =
-                                         kNoTransferTimeout,
-                                     int session = kNoSession);
+  TransferAwaiter transfer(HostId src, HostId dst, double bytes,
+                           int priority = kDataPriority,
+                           double timeout_seconds = kNoTransferTimeout,
+                           int session = kNoSession);
 
   void add_observer(TransferObserver observer);
 
@@ -220,33 +248,40 @@ class Network {
     double bytes;
     int priority;
     std::uint64_t seq;
-    sim::Latch* done;
-    TransferRecord* record;
+    TransferAwaiter* caller;
     sim::SimTime deadline;       // kTimeInfinity when no timeout
     sim::EventSeq timeout_event;  // kNoEventSeq when no timeout
   };
 
   struct Active {
+    std::uint64_t seq;
     HostId src;
     HostId dst;
-    TransferRecord* record;
-    sim::Latch* done;
+    TransferAwaiter* caller;
     sim::EventSeq completion_event;
     sim::EventSeq timeout_event;  // kNoEventSeq when no timeout
     bool dropped;                 // loses the race at delivery time
   };
+  using ActiveIt = std::vector<Active>::iterator;
 
-  // Starts every queued transfer whose endpoints are free *and* usable
-  // (alive, link not blacked out), in (priority, FIFO) order.
+  // Queues an awaited transfer and admits it if it can start now.
+  void enqueue(TransferAwaiter& transfer);
+  // Endpoints free *and* usable (alive, link not blacked out).
+  bool can_start(const Pending& p) const;
+  // Starts every queued transfer that can_start, in (priority, FIFO)
+  // order. Needed whenever endpoints free up or faults clear.
   void try_start_transfers();
-  void start(Pending p);
-  bool endpoints_usable(HostId src, HostId dst) const;
+  void start(const Pending& p);
+  // The active transfer with this seq, or active_transfers_.end().
+  ActiveIt find_active(std::uint64_t seq);
+  // Resumes the awaiting process through the event queue, now.
+  void wake(const TransferAwaiter& transfer);
 
   // Delivery-time handler for the active transfer with the given seq.
   void on_complete(std::uint64_t seq);
   // Transport-backend completion: invoked on the driving loop's thread
   // context (inside Clock::wait_until), defers into the event queue at
-  // external_now() so the latch resume happens at a well-defined sim time.
+  // external_now() so the caller resumes at a well-defined sim time.
   static void transport_trampoline(void* ctx, std::uint64_t seq,
                                    bool delivered);
   // The deferred half: tolerant of already-resolved seqs (a timeout or
@@ -256,14 +291,13 @@ class Network {
   void on_timeout(std::uint64_t seq);
   // Resolves an active transfer. Exactly one of the bracketing events has
   // fired (the caller's); the other is cancelled here.
-  void finish_active(std::map<std::uint64_t, Active>::iterator it,
-                     TransferOutcome outcome, bool completion_fired,
-                     bool timeout_fired);
+  void finish_active(ActiveIt it, TransferOutcome outcome,
+                     bool completion_fired, bool timeout_fired);
   // Resolves a queued (never-started) transfer as failed/timed out.
   void fail_pending(std::size_t index, TransferOutcome outcome);
 
-  // Updates the NIC-queue-depth gauge after pending_ changes size.
-  void note_pending_depth();
+  // Sets the NIC-queue-depth gauge after the queue changes size.
+  void note_pending_depth(std::size_t depth);
   // Trace/metric emission for one completed transfer.
   void record_transfer_obs(const TransferRecord& rec);
   // Trace/metric emission for one failed/timed-out transfer. Counters are
@@ -278,10 +312,13 @@ class Network {
   const LinkTable* links_;
   NetworkParams params_;
   std::vector<int> active_;  // concurrent transfers per host
-  std::vector<Pending> pending_;  // sorted: higher priority first, then seq
-  // Keyed by transfer seq; std::map keeps fault-handling iteration
-  // deterministic.
-  std::map<std::uint64_t, Active> active_transfers_;
+  // Sorted: higher priority first, then seq. Every entry is blocked (not
+  // can_start) between calls into Network: each event that can unblock one
+  // ends in a full try_start_transfers() pass.
+  std::vector<Pending> pending_;
+  // Sorted by seq, so fault handling visits victims deterministically. At
+  // most hosts * host_capacity / 2 entries.
+  std::vector<Active> active_transfers_;
   std::vector<TransferObserver> observers_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t transfers_completed_ = 0;

@@ -15,23 +15,13 @@ double ReliableChannel::retry_backoff(int attempt) {
   return delay * (0.75 + 0.5 * jitter_rng_.next_double());
 }
 
-sim::Task<TransferRecord> ReliableChannel::transfer(HostId from, HostId to,
-                                                    double bytes,
-                                                    int priority) {
-  co_return co_await network_.transfer(from, to, bytes, priority,
-                                       timeout_for(bytes), session_tag_);
-}
-
-sim::Task<bool> ReliableChannel::send(
-    HostId from, HostId to, int priority,
-    const std::function<double()>& build_bytes,
-    const std::function<void()>& on_delivered,
-    const std::function<bool()>& cancelled) {
+sim::Task<bool> ReliableChannel::send(HostId from, HostId to, int priority,
+                                      FunctionRef<double()> build_bytes,
+                                      FunctionRef<void()> on_delivered,
+                                      FunctionRef<bool()> cancelled) {
   for (int attempt = 0;; ++attempt) {
     const double bytes = build_bytes();
-    const auto rec = co_await network_.transfer(from, to, bytes, priority,
-                                                timeout_for(bytes),
-                                                session_tag_);
+    const auto rec = co_await transfer(from, to, bytes, priority);
     if (rec.ok()) {
       on_delivered();
       co_return true;

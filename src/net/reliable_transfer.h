@@ -15,8 +15,7 @@
 // schedules run over run.
 #pragma once
 
-#include <functional>
-
+#include "common/function_ref.h"
 #include "common/rng.h"
 #include "net/network.h"
 #include "sim/task.h"
@@ -52,12 +51,10 @@ class ReliableChannel {
   // the backoff the channel is about to wait). The backoff is drawn once,
   // before the listener runs, so observing a retry never consumes jitter.
   // A raw function-pointer + context pair, not a std::function: the
-  // listener sits on the retry hot path and the event-queue work (PR 2)
-  // set the policy that kernel-level callbacks never type-erase through a
-  // potentially allocating wrapper. (Audit note: the remaining
-  // std::function parameters on send() below are borrowed for the duration
-  // of one co_await at the call site — never stored, never copied — and
-  // every caller passes a small-capture lambda; see docs/PERFORMANCE.md.)
+  // listener sits on the retry hot path, and kernel-level callbacks never
+  // type-erase through a potentially allocating wrapper (see
+  // docs/PERFORMANCE.md). The callables send() takes are FunctionRefs for
+  // the same reason.
   struct RetryListener {
     void (*fn)(void* ctx, HostId from, HostId to, int attempt,
                double backoff_seconds) = nullptr;
@@ -87,18 +84,23 @@ class ReliableChannel {
 
   // One attempt with the policy deadline applied. The caller inspects the
   // outcome; nothing is retried.
-  sim::Task<TransferRecord> transfer(HostId from, HostId to, double bytes,
-                                     int priority);
+  Network::TransferAwaiter transfer(HostId from, HostId to, double bytes,
+                                    int priority) {
+    return network_.transfer(from, to, bytes, priority, timeout_for(bytes),
+                             session_tag_);
+  }
 
   // Full reliable send: attempt, then retry with capped backoff until
   // delivered, retries are exhausted, or `cancelled` reports the caller no
   // longer wants the message. `build_bytes` is re-evaluated before every
   // attempt — piggybacked payloads may have grown during the backoff — and
-  // `on_delivered` runs exactly once, before returning true.
+  // `on_delivered` runs exactly once, before returning true. The three
+  // callables are borrowed, not copied: they must outlive the co_await on
+  // the returned task (lambdas written in the call's argument list do).
   sim::Task<bool> send(HostId from, HostId to, int priority,
-                       const std::function<double()>& build_bytes,
-                       const std::function<void()>& on_delivered,
-                       const std::function<bool()>& cancelled);
+                       FunctionRef<double()> build_bytes,
+                       FunctionRef<void()> on_delivered,
+                       FunctionRef<bool()> cancelled);
 
   void set_retry_listener(RetryListener listener) {
     retry_listener_ = listener;

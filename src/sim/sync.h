@@ -1,4 +1,4 @@
-// Process-synchronization primitives: pulse events and sticky latches.
+// Process synchronization: pulse events.
 #pragma once
 
 #include <coroutine>
@@ -44,44 +44,6 @@ class Event {
 
  private:
   Simulation& sim_;
-  std::vector<std::coroutine_handle<>> waiters_;
-};
-
-// A sticky latch: once set() is called, waits complete immediately.
-class Latch {
- public:
-  explicit Latch(Simulation& sim) : sim_(sim) {}
-
-  Latch(const Latch&) = delete;
-  Latch& operator=(const Latch&) = delete;
-
-  auto wait() {
-    struct Awaiter {
-      Latch& latch;
-      bool await_ready() const noexcept { return latch.set_; }
-      void await_suspend(std::coroutine_handle<> h) {
-        latch.waiters_.push_back(h);
-      }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{*this};
-  }
-
-  void set() {
-    if (set_) return;
-    set_ = true;
-    // See Event::trigger() for why iterating the live vector is safe.
-    for (auto h : waiters_) {
-      sim_.schedule_at(sim_.now(), [h] { h.resume(); });
-    }
-    waiters_.clear();
-  }
-
-  bool is_set() const { return set_; }
-
- private:
-  Simulation& sim_;
-  bool set_ = false;
   std::vector<std::coroutine_handle<>> waiters_;
 };
 

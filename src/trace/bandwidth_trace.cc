@@ -59,17 +59,46 @@ sim::SimTime BandwidthTrace::finish_time(sim::SimTime t0, double bytes) const {
     const double remaining = target - integral_to(base);
     return base + remaining / values_.back();
   }
-  // Binary search the first prefix entry >= target, then interpolate within
-  // that step. upper_bound gives the first strictly-greater entry; the
-  // segment to finish in is the one before it.
-  const auto it = std::lower_bound(prefix_.begin(), prefix_.end(), target);
-  const auto idx = static_cast<std::size_t>(it - prefix_.begin());
+  // The first prefix entry >= target, then interpolate within the step
+  // before it. The search starts at t0's step: a transfer spans a few
+  // steps, so a gallop forward brackets the entry in a handful of probes,
+  // and the entry found is exactly the one a lower_bound over the whole
+  // two-day prefix array returns.
+  const std::size_t idx =
+      first_prefix_at_least(target, static_cast<std::size_t>(t0 / step_));
   WADC_ASSERT(idx > 0 && idx < prefix_.size(), "prefix search out of range");
   const std::size_t seg = idx - 1;
   const double into = (target - prefix_[seg]) / values_[seg];
   const double finish = static_cast<double>(seg) * step_ + into;
   // The transfer cannot finish before it starts (guards float round-off).
   return std::max(finish, t0);
+}
+
+std::size_t BandwidthTrace::first_prefix_at_least(double target,
+                                                  std::size_t hint) const {
+  const auto first = prefix_.begin();
+  const std::size_t last = prefix_.size() - 1;
+  hint = std::min(hint, last);
+  if (prefix_[hint] >= target) {
+    // Only when rounding absorbed the whole transfer into t0's step.
+    return static_cast<std::size_t>(
+        std::lower_bound(first, first + static_cast<std::ptrdiff_t>(hint) + 1,
+                         target) -
+        first);
+  }
+  // Gallop: prefix_[lo] < target throughout, and the answer lies in
+  // (lo, lo + span] once the loop stops (prefix_[last] > target here).
+  std::size_t lo = hint;
+  std::size_t span = 1;
+  while (lo + span < last && prefix_[lo + span] < target) {
+    lo += span;
+    span *= 2;
+  }
+  const std::size_t hi = std::min(lo + span, last);
+  return static_cast<std::size_t>(
+      std::lower_bound(first + static_cast<std::ptrdiff_t>(lo) + 1,
+                       first + static_cast<std::ptrdiff_t>(hi), target) -
+      first);
 }
 
 double BandwidthTrace::average(sim::SimTime t0, sim::SimTime t1) const {

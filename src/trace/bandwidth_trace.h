@@ -47,6 +47,9 @@ class BandwidthTrace {
  private:
   // Integral of bandwidth over [0, t].
   double integral_to(sim::SimTime t) const;
+  // Index of the first prefix_ entry >= target (target < prefix_.back()),
+  // searched outward from prefix_[hint].
+  std::size_t first_prefix_at_least(double target, std::size_t hint) const;
 
   double step_;
   std::vector<double> values_;

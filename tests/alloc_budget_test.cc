@@ -63,8 +63,16 @@ TEST(AllocBudgetTest, SteadyStateRunsStayWithinGlobalAllocatorBudget) {
 
   // Warm blocks only: steady-state runs never malloc a new arena block.
   EXPECT_EQ(ctx.arena_stats().block_allocs, blocks_before);
-  // Sanity: the runs really did allocate heavily — through the arena.
-  EXPECT_GT(arena_allocs, static_cast<std::uint64_t>(kRuns) * 10000u);
+  // The runs really do allocate through the arena, but no more than the
+  // per-message path needs: a transfer has no coroutine frame of its own,
+  // a hop wraps no callable in a std::function, and a payload rebuild
+  // reuses its vector when no message holds it. Measured: 7,762 per run
+  // (gcc 12, -O2); the ceiling is 1.25x that, so a saving that silently
+  // goes away fails here.
+  constexpr std::uint64_t kArenaFloor = 5000;    // per run
+  constexpr std::uint64_t kArenaCeiling = 9700;  // per run
+  EXPECT_GT(arena_allocs, static_cast<std::uint64_t>(kRuns) * kArenaFloor);
+  EXPECT_LE(arena_allocs, static_cast<std::uint64_t>(kRuns) * kArenaCeiling);
   EXPECT_LE(total_news, static_cast<std::uint64_t>(kRuns) * kGlobalBudget);
 #endif
 }

@@ -2,6 +2,13 @@
 // piggybacking and on-demand probes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <memory>
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
 #include "monitor/bandwidth_cache.h"
 #include "monitor/monitoring_system.h"
 #include "net/network.h"
@@ -352,6 +359,242 @@ TEST(MonitoringSystem, ProbeAgainstDeadHostTimesOutInsteadOfHanging) {
   EXPECT_FALSE(got.has_value());
   EXPECT_EQ(f.monitoring->passive_samples(), 0u);
   EXPECT_GE(f.sim.now(), 30.0);
+}
+
+// ---- self pairs ------------------------------------------------------------
+
+TEST(BandwidthCacheDeathTest, RejectsAPairOfAHostWithItself) {
+  // A host has no link to itself, so there is no entry to read or write;
+  // every build type refuses instead of indexing outside the table.
+  BandwidthCache cache(4, 40.0);
+  const char* msg = "bandwidth cache pair of host 0 with itself";
+  EXPECT_DEATH(cache.record(0, 0, 100.0, 1.0), msg);
+  EXPECT_DEATH((void)cache.lookup(0, 0, 1.0), msg);
+  EXPECT_DEATH((void)cache.lookup_any_age(0, 0), msg);
+  EXPECT_DEATH(cache.invalidate(0, 0), msg);
+  // Likewise a measurement before time 0: a negative time marks "never
+  // measured".
+  EXPECT_DEATH(cache.record(0, 1, 100.0, -1.0), "measurement before time 0");
+}
+
+// ---- differential: payload builder against scan, sort and truncate --------
+//
+// ReferenceCache is the payload builder with nothing incremental in it:
+// every rebuild scans all pairs, sorts and truncates, memoized on a version
+// counter that every content change bumps. BandwidthCache must return the
+// same payloads on seeded random sequences of records in both argument
+// orders, merges, invalidations and advancing time — including samples
+// exactly at age == TTL, truncation at K, memo hits, and samples that
+// arrive already expired.
+
+class ReferenceCache {
+ public:
+  ReferenceCache(int n, double ttl)
+      : n_(n), ttl_(ttl), entries_(net::pair_count(n)) {}
+
+  void record(net::HostId a, net::HostId b, double bw, double at) {
+    Sample& e = entries_[net::pair_index(a, b, n_)];
+    if (at > e.measured_at) {
+      e = Sample{bw, at};
+      ++version_;
+    }
+  }
+  void invalidate(net::HostId a, net::HostId b) {
+    entries_[net::pair_index(a, b, n_)] = Sample{};
+    ++version_;
+  }
+  void invalidate_host(net::HostId h) {
+    for (net::HostId o = 0; o < n_; ++o) {
+      if (o != h) entries_[net::pair_index(h, o, n_)] = Sample{};
+    }
+    ++version_;
+  }
+  // Entries with age <= TTL at `now`; every measured entry at infinity.
+  std::size_t fresh_count(double now) const {
+    std::size_t count = 0;
+    for (const Sample& e : entries_) {
+      if (e.measured_at >= 0 &&
+          (now == sim::kTimeInfinity || now - e.measured_at <= ttl_)) {
+        ++count;
+      }
+    }
+    return count;
+  }
+  std::vector<PairSample> freshest(double now, std::size_t k) {
+    memo_hit_ = memo_version_ == version_ && memo_k_ == k && now <= memo_until_;
+    if (memo_hit_) return memo_;
+    std::vector<PairSample> fresh;
+    for (net::HostId a = 0; a < n_; ++a) {
+      for (net::HostId b = a + 1; b < n_; ++b) {
+        const Sample& e = entries_[net::pair_index(a, b, n_)];
+        if (e.measured_at < 0 || now - e.measured_at > ttl_) continue;
+        fresh.push_back(PairSample{a, b, e});
+      }
+    }
+    std::sort(fresh.begin(), fresh.end(),
+              [](const PairSample& x, const PairSample& y) {
+                if (x.sample.measured_at != y.sample.measured_at) {
+                  return x.sample.measured_at > y.sample.measured_at;
+                }
+                if (x.a != y.a) return x.a < y.a;
+                return x.b < y.b;
+              });
+    if (fresh.size() > k) fresh.resize(k);
+    memo_ = fresh;
+    memo_version_ = version_;
+    memo_k_ = k;
+    memo_until_ = fresh.empty() ? sim::kTimeInfinity
+                                : fresh.back().sample.measured_at + ttl_;
+    return fresh;
+  }
+  // Whether the last freshest() call was served from the memo.
+  bool memo_hit() const { return memo_hit_; }
+
+ private:
+  int n_;
+  double ttl_;
+  std::vector<Sample> entries_;
+  std::uint64_t version_ = 0;
+  std::vector<PairSample> memo_;
+  std::uint64_t memo_version_ = ~std::uint64_t{0};
+  std::size_t memo_k_ = 0;
+  double memo_until_ = -1;
+  bool memo_hit_ = false;
+};
+
+bool same_samples(const std::vector<PairSample>& x,
+                  const std::vector<PairSample>& y) {
+  if (x.size() != y.size()) return false;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if (x[i].a != y[i].a || x[i].b != y[i].b ||
+        x[i].sample.bandwidth != y[i].sample.bandwidth ||
+        x[i].sample.measured_at != y[i].sample.measured_at) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(BandwidthCacheDifferential, MatchesScanSortTruncateReference) {
+  constexpr double kTtl = 40.0;
+  std::uint64_t memo_hits = 0;
+  std::uint64_t reused = 0;  // rebuilds into the memo's own vector
+  std::uint64_t truncated = 0;
+  std::uint64_t at_ttl = 0;
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    const int n = 3 + static_cast<int>(rng.next_below(7));
+    BandwidthCache cache(n, kTtl);
+    ReferenceCache ref(n, kTtl);
+    const auto host = [&] {
+      return static_cast<net::HostId>(
+          rng.next_below(static_cast<std::uint64_t>(n)));
+    };
+    const auto pair = [&] {
+      const net::HostId a = host();
+      net::HostId b = host();
+      if (b == a) b = (a + 1) % n;
+      return std::make_pair(a, b);
+    };
+    // Quarter-second grid: ages land exactly on the TTL, and equal
+    // timestamps exercise the (a, b) tie order.
+    const auto stamp = [&](double now) {
+      return std::max(0.0, now - 0.25 * static_cast<double>(
+                                            rng.next_below(200)));
+    };
+    const std::size_t ks[] = {1, 3, 8, 64};
+    std::size_t k = ks[rng.next_below(4)];
+    double now = 0;
+    // Payloads handed out earlier, as in-flight messages hold them; a later
+    // rebuild must never change them.
+    std::vector<std::pair<Payload, std::vector<PairSample>>> held;
+    const void* last_built = nullptr;
+    for (int step = 0; step < 400; ++step) {
+      switch (rng.next_below(10)) {
+        case 0:
+        case 1:
+        case 2: {
+          const auto [a, b] = pair();
+          const double at = stamp(now);
+          const double bw = rng.uniform(1e3, 1e5);
+          cache.record(a, b, bw, at);
+          ref.record(a, b, bw, at);
+          break;
+        }
+        case 3: {
+          std::vector<PairSample> incoming;
+          for (std::uint64_t i = rng.next_below(6); i > 0; --i) {
+            const auto [a, b] = pair();
+            incoming.push_back(
+                PairSample{a, b, Sample{rng.uniform(1e3, 1e5), stamp(now)}});
+          }
+          cache.merge(incoming);
+          for (const PairSample& ps : incoming) {
+            ref.record(ps.a, ps.b, ps.sample.bandwidth,
+                       ps.sample.measured_at);
+          }
+          break;
+        }
+        case 4:
+          if (rng.bernoulli(0.3)) {
+            const auto [a, b] = pair();
+            cache.invalidate(a, b);
+            ref.invalidate(a, b);
+          } else if (rng.bernoulli(0.2)) {
+            const net::HostId h = host();
+            cache.invalidate_host(h);
+            ref.invalidate_host(h);
+          }
+          break;
+        case 5:
+        case 6:
+          now += 0.25 * static_cast<double>(rng.next_below(40));
+          break;
+        case 7:
+          if (rng.bernoulli(0.1)) k = ks[rng.next_below(4)];
+          break;
+        default: {
+          const Payload got = cache.freshest_shared(now, k);
+          const std::vector<PairSample> want = ref.freshest(now, k);
+          ASSERT_TRUE(same_samples(*got, want)) << "step " << step;
+          // The previous snapshot is either still alive or reused, so the
+          // same address on a rebuild means its vector was reused.
+          if (ref.memo_hit()) {
+            ++memo_hits;
+          } else if (got.get() == last_built) {
+            ++reused;
+          }
+          last_built = got.get();
+          if (want.size() == k) ++truncated;
+          for (const PairSample& ps : want) {
+            if (now - ps.sample.measured_at == kTtl) ++at_ttl;
+          }
+          EXPECT_EQ(cache.unexpired_count(now), ref.fresh_count(now));
+          EXPECT_EQ(cache.entry_count(), ref.fresh_count(sim::kTimeInfinity));
+          if (rng.bernoulli(0.3)) held.emplace_back(got, *got);
+          if (held.size() > 4) held.erase(held.begin());
+          break;
+        }
+      }
+      for (const auto& [payload, copy] : held) {
+        ASSERT_TRUE(same_samples(*payload, copy)) << "step " << step;
+      }
+    }
+  }
+  // The sequences reach the cases that matter.
+  EXPECT_GT(memo_hits, 0u);
+  EXPECT_GT(reused, 0u);
+  EXPECT_GT(truncated, 0u);
+  EXPECT_GT(at_ttl, 0u);
+}
+
+TEST(BandwidthCache, PayloadTimeMustNotGoBackwards) {
+  BandwidthCache cache(4, 40.0);
+  cache.record(0, 1, 100.0, 0.0);
+  (void)cache.freshest_shared(50.0, 8);  // forgets the expired pair
+  EXPECT_DEATH((void)cache.freshest_shared(10.0, 8),
+               "payload time went backwards");
 }
 
 }  // namespace

@@ -169,7 +169,7 @@ TEST(Simulation, DeterministicEventCount) {
   EXPECT_EQ(run_once(), run_once());
 }
 
-// ---- Event / Latch --------------------------------------------------------
+// ---- Event --------------------------------------------------------------
 
 TEST(Event, TriggerWakesAllWaiters) {
   Simulation sim;
@@ -203,36 +203,6 @@ TEST(Event, ResetsAfterTrigger) {
   ASSERT_EQ(wakes.size(), 2u);
   EXPECT_DOUBLE_EQ(wakes[0], 1.0);
   EXPECT_DOUBLE_EQ(wakes[1], 2.0);
-}
-
-TEST(Latch, WaitAfterSetCompletesImmediately) {
-  Simulation sim;
-  Latch latch(sim);
-  latch.set();
-  double woke_at = -1;
-  sim.spawn([](Simulation& s, Latch& l, double& t) -> Task<> {
-    co_await l.wait();
-    t = s.now();
-  }(sim, latch, woke_at));
-  sim.run();
-  EXPECT_DOUBLE_EQ(woke_at, 0.0);
-}
-
-TEST(Latch, SetIsIdempotent) {
-  Simulation sim;
-  Latch latch(sim);
-  int woken = 0;
-  sim.spawn([](Latch& l, int& w) -> Task<> {
-    co_await l.wait();
-    ++w;
-  }(latch, woken));
-  sim.schedule_at(1.0, [&] {
-    latch.set();
-    latch.set();
-  });
-  sim.run();
-  EXPECT_EQ(woken, 1);
-  EXPECT_TRUE(latch.is_set());
 }
 
 // ---- Mailbox ---------------------------------------------------------------

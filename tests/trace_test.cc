@@ -1,8 +1,11 @@
 // Unit tests for bandwidth traces, the synthetic generator and trace stats.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <vector>
 
 #include "common/rng.h"
 #include "trace/bandwidth_trace.h"
@@ -86,6 +89,90 @@ TEST(BandwidthTrace, FinishTimeMonotoneInBytes) {
     EXPECT_GE(t, prev);
     prev = t;
   }
+}
+
+// finish_time with a binary search over the whole prefix array, as the
+// trace integrator did before the search started at t0's step.
+double full_search_finish_time(const BandwidthTrace& tr, double t0,
+                               double bytes) {
+  const std::vector<double>& v = tr.values();
+  const double step = tr.step_seconds();
+  std::vector<double> prefix(v.size() + 1, 0.0);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    prefix[i + 1] = prefix[i] + v[i] * step;
+  }
+  const auto integral_to = [&](double t) {
+    if (t <= 0) return 0.0;
+    const double end = tr.duration_seconds();
+    if (t >= end) return prefix.back() + (t - end) * v.back();
+    const auto idx = static_cast<std::size_t>(t / step);
+    return prefix[idx] + v[idx] * (t - static_cast<double>(idx) * step);
+  };
+  if (bytes == 0) return t0;
+  const double target = integral_to(t0) + bytes;
+  if (target >= prefix.back()) {
+    const double base = std::max(t0, tr.duration_seconds());
+    return base + (target - integral_to(base)) / v.back();
+  }
+  const auto seg = static_cast<std::size_t>(
+      std::lower_bound(prefix.begin(), prefix.end(), target) -
+      prefix.begin() - 1);
+  const double finish =
+      static_cast<double>(seg) * step + (target - prefix[seg]) / v[seg];
+  return std::max(finish, t0);
+}
+
+bool same_bits(double x, double y) {
+  return std::memcmp(&x, &y, sizeof x) == 0;
+}
+
+TEST(BandwidthTrace, FinishTimeMatchesFullPrefixSearchBitForBit) {
+  Rng rng(4242);
+  int crossed_end = 0;
+  int many_steps = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const double step = rng.bernoulli(0.5) ? 10.0 : rng.uniform(0.5, 30);
+    const std::size_t n = 1 + rng.next_below(400);
+    std::vector<double> values;
+    for (std::size_t i = 0; i < n; ++i) {
+      // Mostly realistic rates, some so small that a step adds almost
+      // nothing to the prefix sum.
+      values.push_back(rng.bernoulli(0.05) ? rng.uniform(1e-9, 1e-3)
+                                           : rng.uniform(1e3, 1e6));
+    }
+    const BandwidthTrace tr(step, values);
+    const double duration = tr.duration_seconds();
+    for (int call = 0; call < 400; ++call) {
+      double t0 = rng.uniform(0, duration * 1.1);
+      if (rng.bernoulli(0.1)) {  // exactly on a step boundary
+        t0 = step * static_cast<double>(rng.next_below(n + 1));
+      }
+      double bytes = 0;
+      switch (rng.next_below(4)) {
+        case 0:
+          bytes = rng.uniform(0, 2e5);
+          break;
+        case 1:
+          bytes = rng.uniform(1e5, 1e8);
+          break;
+        case 2:
+          bytes = rng.uniform(0, 1e-6);
+          break;
+        default:
+          bytes = rng.uniform(0, 1e10);  // usually past the end
+          break;
+      }
+      const double got = tr.finish_time(t0, bytes);
+      const double want = full_search_finish_time(tr, t0, bytes);
+      ASSERT_TRUE(same_bits(got, want))
+          << "trial " << trial << " t0=" << t0 << " bytes=" << bytes
+          << " got " << got << " want " << want;
+      if (got > duration) ++crossed_end;
+      if (got - t0 > 8 * step) ++many_steps;
+    }
+  }
+  EXPECT_GT(crossed_end, 0);
+  EXPECT_GT(many_steps, 0);
 }
 
 TEST(BandwidthTrace, RejectsNonPositiveSamples) {
