@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "cache/cache_config.h"
+#include "common/parse.h"
 #include "exp/bench_support.h"
 #include "exp/experiment.h"
 #include "exp/parallel.h"
@@ -61,10 +62,10 @@ int main(int argc, char** argv) {
   std::string curves_out = "BENCH_ext_cache_reuse.json";
   std::vector<char*> passthrough = {argv[0]};
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--fault-spec=", 13) == 0) {
-      fault_spec_path = argv[i] + 13;
-    } else if (std::strncmp(argv[i], "--out=", 6) == 0) {
-      curves_out = argv[i] + 6;
+    if (auto v = flag_value(argv[i], "--fault-spec")) {
+      fault_spec_path = *v;
+    } else if (auto vo = flag_value(argv[i], "--out")) {
+      curves_out = *vo;
     } else {
       if (std::strcmp(argv[i], "--help") == 0) {
         std::fprintf(stderr,

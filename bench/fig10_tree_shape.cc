@@ -60,5 +60,5 @@ int main(int argc, char** argv) {
                      "x");
   std::printf("\n(paper: the complete binary order outperforms the "
               "left-deep order for both algorithms)\n");
-  return 0;
+  return bench_rc;
 }

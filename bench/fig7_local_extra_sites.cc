@@ -47,5 +47,5 @@ int main(int argc, char** argv) {
   }
   std::printf("\n(paper: the curve is flat — extra random candidates do not "
               "help the local algorithm)\n");
-  return 0;
+  return bench_rc;
 }

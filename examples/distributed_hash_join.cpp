@@ -15,17 +15,18 @@
 // not been considered" gap the paper's §6 points at.)
 //
 //   ./distributed_hash_join [config-seed]
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 
+#include "example_args.h"
 #include "exp/experiment.h"
 #include "trace/library.h"
 
 int main(int argc, char** argv) {
   using namespace wadc;
 
-  const std::uint64_t seed =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 23;
+  const std::uint64_t seed = examples::positional_arg<std::uint64_t>(
+      argc, argv, 1, "config-seed", 23);
 
   const trace::TraceLibrary library(trace::TraceLibraryParams{}, 2026);
 

@@ -13,18 +13,19 @@
 // since a federation rarely has a central coordinator.
 //
 //   ./federated_search_merge [config-seed]
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 
 #include "dataflow/engine.h"
+#include "example_args.h"
 #include "exp/experiment.h"
 #include "trace/library.h"
 
 int main(int argc, char** argv) {
   using namespace wadc;
 
-  const std::uint64_t seed =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 11;
+  const std::uint64_t seed = examples::positional_arg<std::uint64_t>(
+      argc, argv, 1, "config-seed", 11);
 
   const trace::TraceLibrary library(trace::TraceLibraryParams{}, 2026);
 

@@ -6,18 +6,19 @@
 //
 // This exercises the whole public API: trace synthesis, network
 // configuration sampling, and the dataflow engine running each algorithm.
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/algorithm_kind.h"
+#include "example_args.h"
 #include "exp/experiment.h"
 #include "trace/library.h"
 
 int main(int argc, char** argv) {
   using namespace wadc;
 
-  const std::uint64_t config_seed =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 7;
+  const std::uint64_t config_seed = examples::positional_arg<std::uint64_t>(
+      argc, argv, 1, "config-seed", 7);
 
   // A pool of synthetic two-day Internet bandwidth traces (the stand-in for
   // the paper's measurement study; see DESIGN.md).

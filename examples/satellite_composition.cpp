@@ -9,10 +9,11 @@
 // summarizes where each combination operator ended up.
 //
 //   ./satellite_composition [config-seed] [period-seconds]
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 
 #include "dataflow/engine.h"
+#include "example_args.h"
 #include "exp/network_config.h"
 #include "monitor/monitoring_system.h"
 #include "net/network.h"
@@ -22,9 +23,15 @@
 int main(int argc, char** argv) {
   using namespace wadc;
 
-  const std::uint64_t seed =
-      argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 42;
-  const double period = argc > 2 ? std::atof(argv[2]) : 600.0;
+  const std::uint64_t seed = examples::positional_arg<std::uint64_t>(
+      argc, argv, 1, "config-seed", 42);
+  const double period =
+      examples::positional_arg<double>(argc, argv, 2, "period-seconds", 600.0);
+  if (period <= 0) {
+    std::fprintf(stderr, "%s: period-seconds must be > 0, got '%s'\n",
+                 argv[0], argv[2]);
+    return 2;
+  }
 
   const trace::TraceLibrary library(trace::TraceLibraryParams{}, 2026);
 

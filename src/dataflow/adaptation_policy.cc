@@ -59,8 +59,7 @@ sim::Task<core::PlanOutcome> plan_with_probes(EngineServices& services,
                                  services.simulation().now(), session_start);
     outcome = planner.plan(resolver, initial);
     ++services.stats().plan_rounds;
-    if (outcome.unknown_pairs.empty() ||
-        round >= services.params().max_plan_probe_rounds) {
+    if (outcome.unknown_pairs.empty() || round >= kMaxPlanProbeRounds) {
       break;
     }
     for (const auto& [a, b] : outcome.unknown_pairs) {
@@ -85,8 +84,7 @@ sim::Task<core::OrderPlanOutcome> plan_order_with_probes(
                                  services.simulation().now(), session_start);
     outcome = planner.plan(resolver);
     ++services.stats().plan_rounds;
-    if (outcome.unknown_pairs.empty() ||
-        round >= services.params().max_plan_probe_rounds) {
+    if (outcome.unknown_pairs.empty() || round >= kMaxPlanProbeRounds) {
       break;
     }
     for (const auto& [a, b] : outcome.unknown_pairs) {

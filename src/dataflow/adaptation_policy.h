@@ -74,6 +74,10 @@ std::unique_ptr<AdaptationPolicy> make_adaptation_policy(
     core::AlgorithmKind kind);
 
 // ---- shared planning helpers ---------------------------------------------
+// Probe-and-replan rounds for unknown link bandwidths: a planner that still
+// lacks samples after this many probe rounds plans with what it has.
+inline constexpr int kMaxPlanProbeRounds = 4;
+
 // One-shot planning at the client with probe-and-replan for unknown links
 // (§2.1). Takes simulated time: probes are real traffic.
 sim::Task<core::PlanOutcome> plan_with_probes(EngineServices& services,

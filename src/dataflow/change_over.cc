@@ -13,6 +13,14 @@
 
 namespace wadc::dataflow {
 
+namespace {
+
+// The client will not initiate a change-over with fewer than (twice the
+// tree depth + this) iterations left, so barriers always complete.
+constexpr int kBarrierGuardIterations = 4;
+
+}  // namespace
+
 ChangeOverCoordinator::ChangeOverCoordinator(sim::Simulation& sim,
                                              EngineServices& services,
                                              const core::CombinationTree& tree,
@@ -148,7 +156,7 @@ sim::Task<void> ChangeOverCoordinator::replanner_process(
   const auto too_late = [this, n] {
     const int depth_now = epochs_.back().tree.depth();
     return services_.max_server_iteration() + 2 * depth_now +
-               services_.params().barrier_guard_iterations >=
+               kBarrierGuardIterations >=
            n;
   };
   for (;;) {
@@ -249,11 +257,9 @@ sim::Task<void> ChangeOverCoordinator::barrier_coordinator(int version) {
                             {"switch_iteration", switch_iteration},
                             {"collect_s", sim_.now() - collect_begin}});
   }
-  if (services_.params().check_invariants) {
-    for (core::OperatorId op = 0; op < tree_.num_operators(); ++op) {
-      WADC_ASSERT(op_barrier(op).next_fetch_iteration < switch_iteration,
-                  "operator fetched past the change-over point");
-    }
+  for (core::OperatorId op = 0; op < tree_.num_operators(); ++op) {
+    WADC_ASSERT(op_barrier(op).next_fetch_iteration < switch_iteration,
+                "operator fetched past the change-over point");
   }
 
   // Broadcast the release — high-priority barrier messages (§2.2). The
@@ -273,8 +279,7 @@ sim::Task<void> ChangeOverCoordinator::barrier_coordinator(int version) {
     }
   } else {
     for (net::HostId h = 1; h < tree_.num_hosts(); ++h) {
-      co_await services_.hop(tree_.client_host(), h,
-                             services_.params().control_bytes,
+      co_await services_.hop(tree_.client_host(), h, kControlBytes,
                              services_.params().control_priority);
       ReleaseState& rs = release_state(h);
       rs.released_version = version;
@@ -299,8 +304,7 @@ sim::Task<void> ChangeOverCoordinator::barrier_coordinator(int version) {
 sim::Task<void> ChangeOverCoordinator::release_host(net::HostId h,
                                                     int version) {
   int round = 0;
-  while (!co_await services_.hop(tree_.client_host(), h,
-                                 services_.params().control_bytes,
+  while (!co_await services_.hop(tree_.client_host(), h, kControlBytes,
                                  services_.params().control_priority)) {
     if (services_.stopping()) co_return;
     co_await sim_.delay(services_.retry_backoff(round++));
@@ -387,8 +391,7 @@ sim::Task<void> ChangeOverCoordinator::relocate(core::OperatorId op,
   const sim::SimTime begin = sim_.now();
   // Light-move: the operator holds no output in this window, so its state
   // is one small control message.
-  if (!co_await services_.hop(from, to,
-                              services_.params().operator_move_bytes,
+  if (!co_await services_.hop(from, to, kOperatorMoveBytes,
                               services_.params().control_priority)) {
     co_return;  // fault mode only: the move failed; stay put
   }
@@ -541,8 +544,7 @@ sim::Task<void> ChangeOverCoordinator::repair_process() {
     // The move is a re-install from the client's code repository (§3): the
     // dead host cannot ship state, and the light-move window guarantees the
     // operator holds no output. Free when the target is the client itself.
-    co_await services_.hop(tree_.client_host(), to,
-                           services_.params().operator_move_bytes,
+    co_await services_.hop(tree_.client_host(), to, kOperatorMoveBytes,
                            services_.params().control_priority);
     if (services_.stopping()) break;
     if (!services_.host_alive(

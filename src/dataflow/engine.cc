@@ -35,21 +35,39 @@ workload::ImageSpec expected_output(const core::CombinationTree& tree,
 static_assert(net::kControlPriority == 10,
               "EngineParams::control_priority default must match");
 
+// Base timeout for one transfer attempt under faults. The engine adds the
+// message's worst-case transmission time at the cost model's pessimistic
+// bandwidth, so an in-flight transfer on a live slow link never times out
+// spuriously.
+constexpr double kTransferTimeoutSeconds = 120;
+// Retries per hop after the first attempt. Exhausting them surfaces the
+// failure to the caller, which re-resolves the destination (the operator
+// may have been repaired elsewhere) and tries again.
+constexpr int kMaxTransferRetries = 5;
+// Backoff between retry attempts: min(base * 2^attempt, max), with
+// deterministic seeded jitter in [0.75, 1.25).
+constexpr double kRetryBackoffBaseSeconds = 2;
+constexpr double kRetryBackoffMaxSeconds = 60;
+// Hard wall for fault-tolerant runs: if the computation has not finished
+// by this simulated time, run() returns completed=false with a populated
+// failure_summary instead of spinning forever.
+constexpr double kRunDeadlineSeconds = 14 * 86400.0;
+
 // The engine's hop retry discipline. Fault-free runs carry no deadline (a
-// transfer can only complete); fault-tolerant runs use the configured base
-// timeout plus the worst-case transmission time at the cost model's
-// pessimistic bandwidth.
+// transfer can only complete); fault-tolerant runs use the base timeout
+// plus the worst-case transmission time at the cost model's pessimistic
+// bandwidth.
 net::RetryPolicy hop_retry_policy(const EngineParams& params,
                                   const core::CostModel& cost_model) {
   net::RetryPolicy policy;
   if (params.fault_injector != nullptr) {
-    policy.timeout_base_seconds = params.transfer_timeout_seconds;
+    policy.timeout_base_seconds = kTransferTimeoutSeconds;
     policy.timeout_pessimistic_bandwidth =
         cost_model.params().pessimistic_bandwidth;
   }
-  policy.max_retries = params.max_transfer_retries;
-  policy.backoff_base_seconds = params.retry_backoff_base_seconds;
-  policy.backoff_max_seconds = params.retry_backoff_max_seconds;
+  policy.max_retries = kMaxTransferRetries;
+  policy.backoff_base_seconds = kRetryBackoffBaseSeconds;
+  policy.backoff_max_seconds = kRetryBackoffMaxSeconds;
   return policy;
 }
 
@@ -186,8 +204,7 @@ Engine::HostState& Engine::host_state(net::HostId h) {
 }
 
 double Engine::directory_bytes() const {
-  return params_.directory_entry_bytes *
-         static_cast<double>(tree_.num_operators());
+  return kDirectoryEntryBytes * static_cast<double>(tree_.num_operators());
 }
 
 void Engine::start_detached(std::function<void()> on_done) {
@@ -224,7 +241,7 @@ RunStats Engine::run() {
   // Fault-tolerant mode: bound the run and report what happened instead of
   // asserting. A run that cannot complete (client dead, server data gone,
   // link permanently dark) returns completed=false with the reason.
-  const auto status = sim_.run(params_.run_deadline_seconds);
+  const auto status = sim_.run(kRunDeadlineSeconds);
   FailureSummary& fs = stats_.failure_summary;
   fs.active = true;
   fs.transfers_failed = network_.transfers_failed();
@@ -381,7 +398,7 @@ sim::Task<void> Engine::orchestrate() {
       loc = tree_.client_host();
     }
     if (loc != tree_.client_host()) {
-      if (!co_await hop(tree_.client_host(), loc, params_.operator_move_bytes,
+      if (!co_await hop(tree_.client_host(), loc, kOperatorMoveBytes,
                         params_.control_priority)) {
         loc = tree_.client_host();
       }
@@ -438,8 +455,7 @@ sim::Task<void> Engine::client_process() {
 
     int round = 0;
     while (co_await route_to_operator(tree_.client_host(), root, iter,
-                                      params_.demand_bytes,
-                                      net::kDataPriority) ==
+                                      kDemandBytes, net::kDataPriority) ==
            net::kInvalidHost) {
       // Fault mode only: the root is unreachable right now. Back off and
       // re-resolve — recovery may relocate it meanwhile.
@@ -467,13 +483,11 @@ sim::Task<void> Engine::client_process() {
             sim_.now(), params_.session_id);
       }
     }
-    if (params_.check_invariants) {
-      const core::CombinationTree& t = tree_for(iter);
-      const auto expected = expected_output(
-          t, workload_, core::Child::op(t.root()), iter);
-      WADC_ASSERT(image.lineage == expected.lineage,
-                  "composed image lineage mismatch at iteration ", iter);
-    }
+    const core::CombinationTree& t = tree_for(iter);
+    const auto expected =
+        expected_output(t, workload_, core::Child::op(t.root()), iter);
+    WADC_ASSERT(image.lineage == expected.lineage,
+                "composed image lineage mismatch at iteration ", iter);
     stats_.arrival_seconds.push_back(sim_.now());
     if (obs_.tracer) {
       obs_.tracer->instant("client", "image_arrival", tree_.client_host(),
@@ -500,7 +514,7 @@ sim::Task<void> Engine::server_process(int server) {
     // once; only an order-changing change-over can reorder arrivals
     // (the new consumer's first demand racing the old consumer's last).
     Demand d = co_await st.demands->receive();
-    if (params_.check_invariants && !adapts_order_) {
+    if (!adapts_order_) {
       WADC_ASSERT(d.iteration == expected_next,
                   "server demand out of order");
     }
@@ -516,7 +530,7 @@ sim::Task<void> Engine::server_process(int server) {
       report.server = server;
       report.iteration = d.iteration;
       int round = 0;
-      while (!co_await hop(host, tree_.client_host(), params_.control_bytes,
+      while (!co_await hop(host, tree_.client_host(), kControlBytes,
                            params_.control_priority)) {
         if (done_ || aborted_) co_return;
         co_await sim_.delay(retry_backoff(std::min(round++, 5)));
@@ -761,7 +775,7 @@ sim::Task<void> Engine::send_prunes_to_children(core::OperatorId op,
 
 sim::Task<void> Engine::dispatch(core::OperatorId op, int iteration,
                                  const workload::ImageSpec& image) {
-  if (params_.check_invariants && !uses_directory_ && !faults_active_) {
+  if (!uses_directory_ && !faults_active_) {
     // Coordinated change-over invariant: data always flows along edges of
     // the placement in force for its iteration (the Figure 3 hazard).
     // Repair moves are deliberately out-of-cycle, so the invariant does

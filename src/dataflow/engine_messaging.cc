@@ -46,8 +46,6 @@ sim::Task<net::HostId> MessageRouter::route_to_operator(net::HostId from,
         co_return net::kInvalidHost;
       }
     } else {
-      WADC_ASSERT(services_.params().forwarding_enabled,
-                  "stale operator route with forwarding disabled");
       WADC_ASSERT(++forwards <= 8, "operator forwarding chain too long");
     }
     const net::HostId next = services_.operator_location(target);
@@ -113,14 +111,14 @@ sim::Task<bool> Engine::send_demand_to_child(core::OperatorId from_op,
     coordinator_.note_version_forwarded(from_op, demand.pending_version);
   }
   if (child.is_server()) {
-    if (!co_await hop(from, tree_.server_host(child.index),
-                      params_.demand_bytes, net::kDataPriority)) {
+    if (!co_await hop(from, tree_.server_host(child.index), kDemandBytes,
+                      net::kDataPriority)) {
       co_return false;
     }
     servers_[static_cast<std::size_t>(child.index)].demands->send(demand);
   } else {
     if (co_await route_to_operator(from, child.index, demand.iteration,
-                                   params_.demand_bytes, net::kDataPriority) ==
+                                   kDemandBytes, net::kDataPriority) ==
         net::kInvalidHost) {
       co_return false;
     }

@@ -7,6 +7,14 @@
 
 namespace wadc::dataflow {
 
+// Wire sizes of the protocol messages. A data message weighs its image's
+// bytes; every message also carries its piggybacked bandwidth samples, and
+// under directory routing the location/timestamp vectors (§2.3).
+inline constexpr double kDemandBytes = 512;         // demand message body
+inline constexpr double kControlBytes = 256;        // barrier reports/releases
+inline constexpr double kOperatorMoveBytes = 1024;  // light-move state (§2)
+inline constexpr double kDirectoryEntryBytes = 12;  // per-operator entry
+
 // Demand for the next data partition, flowing from a consumer to a
 // producer. Carries the protocol piggyback fields of §2.2 and §2.3.
 struct Demand {

@@ -1,9 +1,11 @@
 #include "exp/experiment.h"
 
 #include <deque>
+#include <functional>
 #include <iterator>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <type_traits>
 #include <utility>
 
@@ -49,82 +51,134 @@ dataflow::EngineParams ExperimentSpec::engine_params(
 
 namespace {
 
-// Builds and attaches the realtime (tcp) backend when the spec asks for
-// one. Returned handle must be destroyed before `sim` and `network` (it
-// detaches itself); callers declare it after both.
-std::unique_ptr<net::RealtimeBackend> make_backend(const ExperimentSpec& spec,
-                                                   sim::Simulation& sim,
-                                                   net::Network& network) {
-  if (spec.backend != Backend::kTcp) return nullptr;
-  auto backend = std::make_unique<net::RealtimeBackend>(spec.tcp_time_scale,
-                                                        spec.tcp_rate_limit);
-  backend->attach(sim, network);
-  return backend;
+// Probe transfers under faults time out after this long: a probe against a
+// crashed host must resolve, not hang the planner. Fault-free runs keep the
+// spec's value (0 waits forever).
+constexpr double kFaultProbeTimeoutSeconds = 120;
+
+// A fresh simulation/network pair for one run, with the realtime (tcp)
+// backend attached when the spec asks for one. Members are declared in
+// construction order; the backend detaches itself, so it is destroyed
+// before the network and the simulation.
+struct FreshNetwork {
+  FreshNetwork(const trace::TraceLibrary& library, const ExperimentSpec& spec)
+      : links(make_network_config(library, spec.num_servers + 1,
+                                  spec.config_seed, spec.config)),
+        network(sim, links, spec.network) {
+    if (spec.backend == Backend::kTcp) {
+      backend = std::make_unique<net::RealtimeBackend>(spec.tcp_time_scale);
+      backend->attach(sim, network);
+    }
+  }
+
+  sim::Simulation sim;
+  const net::LinkTable links;
+  net::Network network;
+  std::unique_ptr<net::RealtimeBackend> backend;
+};
+
+std::unique_ptr<fault::FaultInjector> make_injector(
+    const ExperimentSpec& spec, sim::Simulation& sim, net::Network& network) {
+  if (spec.fault.empty()) return nullptr;
+  const int num_hosts = spec.num_servers + 1;
+  const std::string problem = spec.fault.validate(num_hosts);
+  WADC_ASSERT(problem.empty(), "bad fault spec: ", problem);
+  auto injector = std::make_unique<fault::FaultInjector>(
+      sim, network, spec.fault.build(num_hosts, spec.config_seed),
+      spec.config_seed);
+  if (spec.obs.enabled()) injector->set_obs(spec.obs);
+  return injector;
 }
 
-// The body shared by both run_experiment overloads: everything downstream
-// of the simulation/network pair, which the fresh-context overload builds
-// on the stack and the epoch-reuse overload resets in place. Construction
-// order doubles as destruction-safety order: the engine is destroyed first
-// and tears down all coroutine frames while the objects they reference are
-// still alive.
-RunResult run_on(const ExperimentSpec& spec, sim::Simulation& sim,
-                 net::Network& network) {
-  const int num_hosts = spec.num_servers + 1;
-  const bool faults = !spec.fault.empty();
-  // Declared before the monitoring system and the engine: the injector must
-  // outlive the engine (which holds a listener into it) and is destroyed
-  // after the engine tears down its coroutine frames.
-  std::unique_ptr<fault::FaultInjector> injector;
-  if (faults) {
-    const std::string problem = spec.fault.validate(num_hosts);
-    WADC_ASSERT(problem.empty(), "bad fault spec: ", problem);
-    injector = std::make_unique<fault::FaultInjector>(
-        sim, network, spec.fault.build(num_hosts, spec.config_seed),
-        spec.config_seed);
-    if (spec.obs.enabled()) injector->set_obs(spec.obs);
-  }
-
+monitor::MonitorParams monitor_params(const ExperimentSpec& spec) {
   monitor::MonitorParams mp = spec.monitor;
-  if (faults && mp.probe_timeout_seconds == 0) {
-    // A probe against a crashed host must resolve, not hang the planner.
-    mp.probe_timeout_seconds = 120;
+  if (!spec.fault.empty() && mp.probe_timeout_seconds == 0) {
+    mp.probe_timeout_seconds = kFaultProbeTimeoutSeconds;
   }
-  monitor::MonitoringSystem monitoring(network, mp);
-  if (spec.obs.enabled()) {
-    network.set_obs(spec.obs);
-    monitoring.set_obs(spec.obs);
-  }
-  const core::CombinationTree tree =
-      core::CombinationTree::make(spec.tree_shape, spec.num_servers);
+  return mp;
+}
 
+workload::WorkloadParams workload_params(const ExperimentSpec& spec) {
   workload::WorkloadParams wp = spec.workload;
   wp.iterations = spec.iterations;
-  const workload::ImageWorkload workload(wp, spec.num_servers,
-                                         spec.config_seed);
+  return wp;
+}
 
-  std::unique_ptr<cache::CacheFabric> fabric;
-  if (spec.cache.enabled) {
-    const std::string problem = spec.cache.validate();
-    WADC_ASSERT(problem.empty(), "bad cache config: ", problem);
-    fabric = std::make_unique<cache::CacheFabric>(spec.cache, num_hosts,
-                                                  &monitoring, spec.obs);
+// Everything one run builds on top of its simulation/network pair: the
+// fault injector, the monitoring, the tree, the workload, the cache fabric
+// and the engine params that point at them. Both run paths build their run
+// through it; the single-engine path puts an Engine on it, the session path
+// a SessionManager. Members are declared in construction order, which
+// doubles as destruction-safety order: the engines, declared by the caller
+// after the stack, are destroyed first and tear down every coroutine frame
+// while the objects those frames reference are still alive (the injector
+// also holds the engines' fault listeners).
+struct RunStack {
+  RunStack(const ExperimentSpec& spec, sim::Simulation& sim,
+           net::Network& network)
+      : spec(spec),
+        sim(sim),
+        network(network),
+        injector(make_injector(spec, sim, network)),
+        monitoring(network, monitor_params(spec)),
+        tree(core::CombinationTree::make(spec.tree_shape, spec.num_servers)),
+        workload(workload_params(spec), spec.num_servers, spec.config_seed),
+        engine_params(spec.engine_params(spec.config_seed)) {
+    // Observability attaches before the cache fabric and the engines
+    // register their own metrics.
+    if (spec.obs.enabled()) {
+      network.set_obs(spec.obs);
+      monitoring.set_obs(spec.obs);
+    }
+    // One cache fabric per run, shared by every engine on the stack: in
+    // session mode this is where cross-session reuse comes from.
+    if (spec.cache.enabled) {
+      const std::string problem = spec.cache.validate();
+      WADC_ASSERT(problem.empty(), "bad cache config: ", problem);
+      fabric = std::make_unique<cache::CacheFabric>(
+          spec.cache, spec.num_servers + 1, &monitoring, spec.obs);
+    }
+    engine_params.fault_injector = injector.get();
+    engine_params.cache_fabric = fabric.get();
   }
 
-  dataflow::EngineParams ep = spec.engine_params(spec.config_seed);
-  ep.fault_injector = injector.get();
-  ep.cache_fabric = fabric.get();
-  dataflow::Engine engine(sim, network, monitoring, tree, workload, ep);
-  if (injector) injector->arm();
-
-  std::unique_ptr<TimelineSampler> sampler;
-  if (spec.obs.timeline != nullptr) {
-    sampler = std::make_unique<TimelineSampler>(
-        sim, network, monitoring, tree, /*sessions=*/nullptr,
-        *spec.obs.timeline, spec.timeline_sample_seconds,
-        [&engine] { return engine.run_finished(); });
+  // Call once the engines are built: arms the injector (the engines have
+  // registered their fault listeners by now) and starts the timeline
+  // sampler when the spec records one. The caller declares the returned
+  // sampler after its engines, so it is created last and destroyed first.
+  std::unique_ptr<TimelineSampler> start(
+      const session::SessionManager* sessions,
+      std::function<bool()> finished) {
+    if (injector) injector->arm();
+    if (spec.obs.timeline == nullptr) return nullptr;
+    auto sampler = std::make_unique<TimelineSampler>(
+        sim, network, monitoring, tree, sessions, *spec.obs.timeline,
+        spec.timeline_sample_seconds, std::move(finished));
     sampler->start();
+    return sampler;
   }
+
+  const ExperimentSpec& spec;
+  sim::Simulation& sim;
+  net::Network& network;
+  std::unique_ptr<fault::FaultInjector> injector;
+  monitor::MonitoringSystem monitoring;
+  const core::CombinationTree tree;
+  const workload::ImageWorkload workload;
+  std::unique_ptr<cache::CacheFabric> fabric;
+  dataflow::EngineParams engine_params;
+};
+
+// The single-engine run on a simulation/network pair, which the
+// fresh-context overload builds on the stack and the epoch-reuse overload
+// resets in place.
+RunResult run_on(const ExperimentSpec& spec, sim::Simulation& sim,
+                 net::Network& network) {
+  RunStack stack(spec, sim, network);
+  dataflow::Engine engine(sim, network, stack.monitoring, stack.tree,
+                          stack.workload, stack.engine_params);
+  const auto sampler =
+      stack.start(nullptr, [&engine] { return engine.run_finished(); });
 
   RunResult result;
   result.stats = engine.run();
@@ -141,13 +195,8 @@ RunResult run_on(const ExperimentSpec& spec, sim::Simulation& sim,
 RunResult run_experiment(const trace::TraceLibrary& library,
                          const ExperimentSpec& spec) {
   WADC_ASSERT(spec.num_servers >= 2, "need at least two servers");
-  const int num_hosts = spec.num_servers + 1;
-  sim::Simulation sim;
-  const net::LinkTable links = make_network_config(
-      library, num_hosts, spec.config_seed, spec.config);
-  net::Network network(sim, links, spec.network);
-  const auto backend = make_backend(spec, sim, network);
-  return run_on(spec, sim, network);
+  FreshNetwork fresh(library, spec);
+  return run_on(spec, fresh.sim, fresh.network);
 }
 
 RunResult run_experiment(const trace::TraceLibrary& library,
@@ -192,74 +241,19 @@ session::SessionStats run_session_experiment(
     const trace::TraceLibrary& library, const ExperimentSpec& spec,
     const session::SessionSpec& sessions) {
   WADC_ASSERT(spec.num_servers >= 2, "need at least two servers");
-  const int num_hosts = spec.num_servers + 1;
+  FreshNetwork fresh(library, spec);
+  RunStack stack(spec, fresh.sim, fresh.network);
+  // The manager owns every session's engine; the first engine destructor
+  // tears down all coroutine frames while the stack is still alive.
+  session::SessionManager manager(fresh.sim, fresh.network, stack.monitoring,
+                                  stack.tree, stack.workload,
+                                  stack.engine_params, sessions,
+                                  spec.config_seed);
+  const auto sampler =
+      stack.start(&manager, [&manager] { return manager.all_finished(); });
 
-  // Construction order doubles as destruction-safety order: the manager
-  // (which owns every session's engine) is destroyed first, and the first
-  // engine destructor tears down all coroutine frames while the shared
-  // objects they reference are still alive.
-  sim::Simulation sim;
-  const net::LinkTable links = make_network_config(
-      library, num_hosts, spec.config_seed, spec.config);
-  net::Network network(sim, links, spec.network);
-  const auto backend = make_backend(spec, sim, network);
-
-  const bool faults = !spec.fault.empty();
-  std::unique_ptr<fault::FaultInjector> injector;
-  if (faults) {
-    const std::string problem = spec.fault.validate(num_hosts);
-    WADC_ASSERT(problem.empty(), "bad fault spec: ", problem);
-    injector = std::make_unique<fault::FaultInjector>(
-        sim, network, spec.fault.build(num_hosts, spec.config_seed),
-        spec.config_seed);
-    if (spec.obs.enabled()) injector->set_obs(spec.obs);
-  }
-
-  monitor::MonitorParams mp = spec.monitor;
-  if (faults && mp.probe_timeout_seconds == 0) {
-    // A probe against a crashed host must resolve, not hang the planner.
-    mp.probe_timeout_seconds = 120;
-  }
-  monitor::MonitoringSystem monitoring(network, mp);
-  if (spec.obs.enabled()) {
-    network.set_obs(spec.obs);
-    monitoring.set_obs(spec.obs);
-  }
-  const core::CombinationTree tree =
-      core::CombinationTree::make(spec.tree_shape, spec.num_servers);
-
-  workload::WorkloadParams wp = spec.workload;
-  wp.iterations = spec.iterations;
-  const workload::ImageWorkload workload(wp, spec.num_servers,
-                                         spec.config_seed);
-
-  // One cache fabric shared by every concurrent session's engine: this is
-  // where cross-session reuse comes from.
-  std::unique_ptr<cache::CacheFabric> fabric;
-  if (spec.cache.enabled) {
-    const std::string problem = spec.cache.validate();
-    WADC_ASSERT(problem.empty(), "bad cache config: ", problem);
-    fabric = std::make_unique<cache::CacheFabric>(spec.cache, num_hosts,
-                                                  &monitoring, spec.obs);
-  }
-
-  dataflow::EngineParams ep = spec.engine_params(spec.config_seed);
-  ep.fault_injector = injector.get();
-  ep.cache_fabric = fabric.get();
-  session::SessionManager manager(sim, network, monitoring, tree, workload,
-                                  ep, sessions, spec.config_seed);
-  if (injector) injector->arm();
-
-  std::unique_ptr<TimelineSampler> sampler;
-  if (spec.obs.timeline != nullptr) {
-    sampler = std::make_unique<TimelineSampler>(
-        sim, network, monitoring, tree, &manager, *spec.obs.timeline,
-        spec.timeline_sample_seconds,
-        [&manager] { return manager.all_finished(); });
-    sampler->start();
-  }
   session::SessionStats stats = manager.run();
-  stats.network_bytes_delivered = network.bytes_delivered();
+  stats.network_bytes_delivered = fresh.network.bytes_delivered();
   if (spec.backend != Backend::kSim) {
     stats.backend = backend_name(spec.backend);
   }

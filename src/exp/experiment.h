@@ -58,8 +58,12 @@ struct ExperimentSpec {
   NetworkConfigParams config;
 
   // Base engine parameters; algorithm, relocation period, extra-candidate
-  // count and seed are overridden from the fields above. Use this to set
-  // ablation knobs (control_priority, oracle_bandwidth, merge_rule, ...).
+  // count and seed are overridden from the fields above, obs from `obs`
+  // below, and the run stack points fault_injector and cache_fabric at the
+  // run's own. What is left to set here are the ablation knobs:
+  // control_priority, oracle_bandwidth, merge_rule and
+  // order_adoption_threshold (the session runtime sets degraded_mode and
+  // session_id per session).
   dataflow::EngineParams engine_base;
 
   // Seed identifying the network configuration (the trace→link assignment)
@@ -67,15 +71,13 @@ struct ExperimentSpec {
   std::uint64_t config_seed = 1;
 
   // Transport backend. kSim is the paper's simulation; kTcp moves every
-  // transfer over real loopback sockets in (scaled) wall-clock time. The
-  // tcp knobs below are ignored under kSim.
+  // transfer over real loopback sockets in (scaled) wall-clock time, with
+  // frames paced to the configured link bandwidths. The tcp knob below is
+  // ignored under kSim.
   Backend backend = Backend::kSim;
   // kTcp: simulated seconds per wall second (a 3-hour simulated run at the
   // default 600 takes ~18 wall seconds).
   double tcp_time_scale = 600;
-  // kTcp: pace frames to the configured link bandwidths (off = as fast as
-  // loopback allows; timings then say nothing about the modeled network).
-  bool tcp_rate_limit = true;
 
   // Result cache (src/cache, docs/CACHING.md). Disabled (the default) runs
   // exactly the cache-free simulation — same events, same RNG draws,

@@ -6,6 +6,14 @@ namespace wadc::monitor {
 
 namespace {
 
+// §4's measurement constants, as in the study: a message of at least
+// S_thres bytes yields a passive sample, an on-demand probe is a 16KB round
+// trip, and a delegated probe is requested and answered with small control
+// messages.
+constexpr double kSThresBytes = 16.0 * 1024;
+constexpr double kProbeBytes = 16.0 * 1024;
+constexpr double kControlBytes = 256;
+
 // Probe transfers share one deadline (probe_timeout_seconds; 0 = wait
 // forever, the pre-fault behavior) and never retry.
 net::RetryPolicy probe_policy(const MonitorParams& params) {
@@ -88,7 +96,7 @@ void MonitoringSystem::note_cache_size() {
 void MonitoringSystem::on_transfer(const net::TransferRecord& rec) {
   if (!rec.ok()) return;  // failed/timed-out transfers measure nothing
   if (rec.src == rec.dst) return;  // local move: nothing to measure
-  if (rec.bytes < params_.s_thres_bytes) return;
+  if (rec.bytes < kSThresBytes) return;
   const double bw = rec.app_bandwidth();
   if (bw <= 0) return;
   // Both endpoints learn the pair bandwidth (§4 feature (1)).
@@ -163,26 +171,26 @@ std::optional<double> MonitoringSystem::cached_bandwidth(
 
 sim::Task<bool> MonitoringSystem::run_probe(net::HostId a, net::HostId b) {
   ++probes_issued_;
-  probe_bytes_sent_ += 2 * params_.probe_bytes;
+  probe_bytes_sent_ += 2 * kProbeBytes;
   if (probes_counter_) {
     probes_counter_->add();
-    probe_bytes_counter_->add(2 * params_.probe_bytes);
+    probe_bytes_counter_->add(2 * kProbeBytes);
   }
   const sim::SimTime begin = network_.simulation().now();
   // A 16KB transfer in each direction; the passive monitor records both
   // legs at both endpoints (each leg is >= S_thres by construction).
-  const auto out = co_await probe_channel_.transfer(
-      a, b, params_.probe_bytes, net::kControlPriority);
+  const auto out = co_await probe_channel_.transfer(a, b, kProbeBytes,
+                                                    net::kControlPriority);
   bool ok = out.ok();
   if (ok) {
-    const auto back = co_await probe_channel_.transfer(
-        b, a, params_.probe_bytes, net::kControlPriority);
+    const auto back = co_await probe_channel_.transfer(b, a, kProbeBytes,
+                                                       net::kControlPriority);
     ok = back.ok();
   }
   if (obs_.tracer) {
     obs_.tracer->complete("monitor", "probe", a, obs::kControlLane, begin,
                           network_.simulation().now(),
-                          {{"peer", b}, {"bytes", 2 * params_.probe_bytes}});
+                          {{"peer", b}, {"bytes", 2 * kProbeBytes}});
   }
   co_return ok;
 }
@@ -214,7 +222,7 @@ sim::Task<std::optional<double>> MonitoringSystem::fetch_bandwidth(
                            {{"delegate", a}, {"peer", b}});
     }
     const auto request = co_await probe_channel_.transfer(
-        requester, a, params_.control_bytes, net::kControlPriority);
+        requester, a, kControlBytes, net::kControlPriority);
     if (request.ok()) {
       co_await run_probe(a, b);
       auto payload = piggyback_payload(a);
@@ -222,7 +230,7 @@ sim::Task<std::optional<double>> MonitoringSystem::fetch_bandwidth(
         payload.push_back(PairSample{a, b, *fresh});
       }
       const auto reply = co_await probe_channel_.transfer(
-          a, requester, params_.control_bytes + payload_bytes(payload),
+          a, requester, kControlBytes + payload_bytes(payload),
           net::kControlPriority);
       if (reply.ok()) deliver_payload(requester, payload);
     }

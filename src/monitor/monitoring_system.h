@@ -26,13 +26,13 @@
 
 namespace wadc::monitor {
 
+// The message-size constants (S_thres, the probe size, the delegation
+// control messages) are fixed by the study and live in
+// monitoring_system.cc.
 struct MonitorParams {
-  double s_thres_bytes = 16.0 * 1024;      // passive-measurement threshold
   sim::SimTime t_thres_seconds = 40;       // cache timeout (paper default)
   std::size_t piggyback_budget_bytes = 1024;
   std::size_t piggyback_entry_bytes = 16;  // wire size of one sample
-  double probe_bytes = 16.0 * 1024;        // 16KB probes, as in the study
-  double control_bytes = 256;              // probe-delegation control msgs
   bool passive_enabled = true;             // ablations can disable these
   bool piggyback_enabled = true;
   bool probing_enabled = true;

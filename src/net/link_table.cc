@@ -1,5 +1,7 @@
 #include "net/link_table.h"
 
+#include <algorithm>
+
 #include "common/assert.h"
 
 namespace wadc::net {
@@ -37,7 +39,10 @@ double LinkTable::bandwidth_at(HostId a, HostId b, sim::SimTime t) const {
 sim::SimTime LinkTable::finish_time(HostId a, HostId b, sim::SimTime t0,
                                     double bytes) const {
   const Link& l = link(a, b);
-  return l.trace->finish_time(l.offset + t0, bytes) - l.offset;
+  // Shifting into the trace and back rounds: when the transfer lasts less
+  // than an ulp of offset + t0 (always, for 0 bytes), the difference can
+  // land below t0. A transfer never finishes before it starts.
+  return std::max(t0, l.trace->finish_time(l.offset + t0, bytes) - l.offset);
 }
 
 double LinkTable::average_bandwidth(HostId a, HostId b, sim::SimTime t0,

@@ -20,11 +20,10 @@ RealtimeBackend::RealtimeBackend(const tcp::TcpTransportParams& params)
   WADC_ASSERT(problem.empty(), "bad TcpTransportParams: ", problem);
 }
 
-RealtimeBackend::RealtimeBackend(double time_scale, bool rate_limit)
+RealtimeBackend::RealtimeBackend(double time_scale)
     : RealtimeBackend([&] {
         tcp::TcpTransportParams p;
         p.time_scale = time_scale;
-        p.rate_limit = rate_limit;
         return p;
       }()) {}
 

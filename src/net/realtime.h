@@ -35,8 +35,9 @@ class RealtimeBackend final : public sim::Clock {
  public:
   explicit RealtimeBackend(const tcp::TcpTransportParams& params);
   // Convenience for callers above the net layer (exp, tools), which carry
-  // the two user-visible knobs without naming net/tcp types.
-  RealtimeBackend(double time_scale, bool rate_limit);
+  // the one user-visible knob without naming net/tcp types; frames are
+  // paced to the configured link bandwidths.
+  explicit RealtimeBackend(double time_scale);
   ~RealtimeBackend() override;
 
   RealtimeBackend(const RealtimeBackend&) = delete;

@@ -77,10 +77,9 @@ void Arena::reset() {
     return;
   }
   for (std::size_t i = 0; i < kNumClasses; ++i) free_[i] = nullptr;
-  constexpr std::size_t kCapacity = kBlockBytes - sizeof(Block);
   for (Block* b = first_; b != nullptr; b = b->next) {
     b->used = 0;
-    WADC_ARENA_POISON(block_data(b), kCapacity);
+    WADC_ARENA_POISON(block_data(b), kBlockBytes - sizeof(Block));
   }
   head_ = first_;
 }

@@ -92,16 +92,14 @@ TEST(OneShotPolicy, PlansOnceWithFullKnowledge) {
 
 TEST(OneShotPolicy, ProbesUnknownLinksUpToRoundLimit) {
   Fixture f;
-  EngineParams params;
-  params.max_plan_probe_rounds = 3;
-  MockEngineServices mock(f.sim, f.tree, params);  // cache left empty
+  MockEngineServices mock(f.sim, f.tree, EngineParams{});  // cache left empty
   const auto policy = make_adaptation_policy(core::AlgorithmKind::kOneShot);
   StartupPlan plan;
   f.sim.spawn(run_startup(*policy, mock, plan));
   f.sim.run();
   // The mock's probes never fill the cache, so the planner re-plans until
   // the round limit: one initial round plus one per probe round.
-  EXPECT_EQ(mock.stats_.plan_rounds, params.max_plan_probe_rounds + 1);
+  EXPECT_EQ(mock.stats_.plan_rounds, kMaxPlanProbeRounds + 1);
   EXPECT_GT(mock.fetch_bandwidth_calls(), 0);
 }
 

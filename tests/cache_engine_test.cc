@@ -11,8 +11,10 @@
 #include <tuple>
 #include <vector>
 
+#include "cache/cache_config.h"
 #include "core/algorithm_kind.h"
 #include "exp/experiment.h"
+#include "fault/spec_io.h"
 #include "obs/metrics.h"
 #include "session/session_spec.h"
 #include "session/session_stats.h"
@@ -138,6 +140,27 @@ TEST(CacheEngine, TinyCapacityEvictsAndStillCompletes) {
   for (const session::SessionRecord& r : stats.sessions()) {
     EXPECT_EQ(r.images, spec.iterations);
   }
+}
+
+TEST(CacheEngine, FaultedSessionsSurviveAZeroByteTransfer) {
+  // On this configuration a session's engine sends an empty image after it
+  // has finished, onto a link shifted deep into its trace. The zero-byte
+  // transfer must not finish a round-off before it starts (which aborts
+  // the whole run).
+  ExperimentSpec spec;
+  spec.algorithm = core::AlgorithmKind::kGlobal;
+  spec.iterations = 30;
+  spec.relocation_period_seconds = 300;
+  spec.config_seed = 4001973;
+  spec.cache = cache::parse_cache_spec("capacity=512k,policy=lru");
+  spec.fault = fault::parse_fault_spec(
+      "rate crash 1 120\nrate blackout 0.2 60\nhorizon 20000\n"
+      "protect_client 1\ndrop 0.002\n");
+  const session::SessionStats stats = run_session_experiment(
+      shared_library(), spec,
+      session::parse_session_spec("open 8 6\nadmission shed 4 2\n"));
+  EXPECT_EQ(stats.completed_count(), 6);
+  EXPECT_EQ(stats.shed_count(), 2);
 }
 
 TEST(CacheEngine, CrashedReplicaHostIsInvalidatedAndRecomputed) {

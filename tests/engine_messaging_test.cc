@@ -143,28 +143,6 @@ TEST(MessageRouter, FreshDirectoryEntryNeedsNoForward) {
   EXPECT_EQ(mock.stats_.messages_forwarded, 0);
 }
 
-TEST(MessageRouterDeathTest, StaleRouteWithForwardingDisabledAborts) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(
-      {
-        Fixture f;
-        EngineParams params;
-        params.forwarding_enabled = false;
-        MockEngineServices mock(f.sim, f.tree, params);
-        const core::Placement none = core::Placement::all_at_client(f.tree);
-        MessageRouter router(mock, /*uses_directory=*/true,
-                             [&](int) -> const core::Placement& {
-                               return none;
-                             });
-        mock.set_operator_location(0, f.tree.server_host(2));
-        net::HostId delivered = net::kInvalidHost;
-        f.sim.spawn(run_route(router, f.tree.client_host(), 0, 0, 1.0, 0,
-                              delivered));
-        f.sim.run();
-      },
-      "stale operator route with forwarding disabled");
-}
-
 // ---------------------------------------------------------------------------
 // fault mode: a message chasing a moving operator eventually gives up
 

