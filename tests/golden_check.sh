@@ -74,6 +74,15 @@ for alg in download-all one-shot global local global-order reorder-only; do
   done
 done
 
+# Stale-location forwarding (§2.3): no cell above forwards a message, so
+# these pin a local run whose directories lag a relocation (one forward
+# plain; two forwards with retries and a repair under the fault schedule).
+for mode in plain fault; do
+  check_cell "local_forward_${mode}" "$mode" trace \
+    --algorithm=local --servers=4 --iterations=40 --configs=2 \
+    --seed=1018 --period=150 --extras=2
+done
+
 for mode in plain fault; do
   check_cell "session_global_${mode}" "$mode" "trace timeline" \
     --algorithm=global --servers=4 --iterations=40 --configs=2 \
