@@ -227,6 +227,7 @@ class OrderPolicy final : public AdaptationPolicy {
 class LocalPolicy final : public OneShotPolicy {
  public:
   bool uses_directory() const override { return true; }
+  bool acts_in_window() const override { return true; }
 
   sim::Task<void> relocation_window(EngineServices& services,
                                     core::OperatorId op) override {

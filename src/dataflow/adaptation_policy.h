@@ -15,10 +15,11 @@
 //     relocation window? Only the local algorithm acts here (§2.3 staggered
 //     epochs + later-producer marking).
 //
-// The traits (uses_directory / uses_barrier / adapts_order) are fixed per
-// algorithm; the engine caches them at construction so its dispatch path
-// never branches on AlgorithmKind — the registry (make_adaptation_policy)
-// is the single place the enum is inspected.
+// The traits (uses_directory / uses_barrier / adapts_order /
+// acts_in_window) are fixed per algorithm; the engine caches them at
+// construction so its dispatch path never branches on AlgorithmKind — the
+// registry (make_adaptation_policy) is the single place the enum is
+// inspected.
 #pragma once
 
 #include <memory>
@@ -59,12 +60,15 @@ class AdaptationPolicy {
   virtual bool uses_barrier() const { return false; }
   // Change-overs may switch the combination tree, not just the placement.
   virtual bool adapts_order() const { return false; }
+  // relocation_window acts; the engine skips awaiting it otherwise.
+  virtual bool acts_in_window() const { return false; }
 
   // ---- hooks -------------------------------------------------------------
   virtual sim::Task<StartupPlan> plan_startup(EngineServices& services) = 0;
   // Only called when uses_barrier(); the default asserts.
   virtual sim::Task<ReplanDecision> replan(EngineServices& services);
-  // Per-operator relocation-window action; default does nothing.
+  // Per-operator relocation-window action; default does nothing. A policy
+  // that overrides it says so through acts_in_window().
   virtual sim::Task<void> relocation_window(EngineServices& services,
                                             core::OperatorId op);
 };

@@ -95,8 +95,9 @@ class ChangeOverCoordinator {
   // The per-operator relocation window's change-over half: stall while a
   // propagated pending placement awaits release, then apply this
   // operator's move once the switch iteration is known. A no-op unless a
-  // barrier is active.
+  // barrier is active, so callers await it only while barrier_active().
   sim::Task<void> operator_window(core::OperatorId op, int iteration);
+  bool barrier_active() const { return active_barrier_.has_value(); }
 
   // ---- relocation & repair -----------------------------------------------
   // Light-move relocation (§2): one control message, then the location

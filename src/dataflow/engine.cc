@@ -97,6 +97,7 @@ Engine::Engine(sim::Simulation& sim, net::Network& network,
       uses_directory_(policy_->uses_directory()),
       uses_barrier_(policy_->uses_barrier()),
       adapts_order_(policy_->adapts_order()),
+      acts_in_window_(policy_->acts_in_window()),
       // The coordinator only records the references; it never calls back
       // into the engine during construction.
       coordinator_(sim, *this, tree, obs_, stats_,
@@ -398,7 +399,7 @@ sim::Task<void> Engine::orchestrate() {
       loc = tree_.client_host();
     }
     if (loc != tree_.client_host()) {
-      if (!co_await hop(tree_.client_host(), loc, kOperatorMoveBytes,
+      if (!co_await Hop(*this, tree_.client_host(), loc, kOperatorMoveBytes,
                         params_.control_priority)) {
         loc = tree_.client_host();
       }
@@ -454,8 +455,9 @@ sim::Task<void> Engine::client_process() {
     }
 
     int round = 0;
-    while (co_await route_to_operator(tree_.client_host(), root, iter,
-                                      kDemandBytes, net::kDataPriority) ==
+    while (co_await Route(*this,
+                          router_.to_operator(tree_.client_host(), root, iter),
+                          kDemandBytes, net::kDataPriority) ==
            net::kInvalidHost) {
       // Fault mode only: the root is unreachable right now. Back off and
       // re-resolve — recovery may relocate it meanwhile.
@@ -530,7 +532,7 @@ sim::Task<void> Engine::server_process(int server) {
       report.server = server;
       report.iteration = d.iteration;
       int round = 0;
-      while (!co_await hop(host, tree_.client_host(), kControlBytes,
+      while (!co_await Hop(*this, host, tree_.client_host(), kControlBytes,
                            params_.control_priority)) {
         if (done_ || aborted_) co_return;
         co_await sim_.delay(retry_backoff(std::min(round++, 5)));
@@ -558,8 +560,9 @@ sim::Task<void> Engine::server_process(int server) {
     m.iteration = d.iteration;
     m.producer_side = side;
     int send_round = 0;
-    while (co_await route_to_operator(host, consumer, d.iteration,
-                                      m.image.bytes, net::kDataPriority) ==
+    while (co_await Route(*this,
+                          router_.to_operator(host, consumer, d.iteration),
+                          m.image.bytes, net::kDataPriority) ==
            net::kInvalidHost) {
       if (done_ || aborted_) co_return;
       co_await sim_.delay(retry_backoff(std::min(send_round++, 5)));
@@ -608,27 +611,27 @@ sim::Task<void> Engine::operator_process(core::OperatorId op) {
       // deadlock the barrier. The prefetch consults the cache first, so a
       // hit streak still cascades as prunes with zero transfers.
       if (!held) co_await send_prunes_to_children(op, iter);
-      held.reset();
-      co_await relocation_window(op, iter);
-      if (iter + 1 < n) {
-        held = co_await fetch_and_compose(op, iter + 1);
-      }
-      continue;
-    }
-    if (d.marked_later) ++st.critical.later_marks;
-    st.critical.consumer_on_critical_path = d.consumer_on_critical_path;
+    } else {
+      if (d.marked_later) ++st.critical.later_marks;
+      st.critical.consumer_on_critical_path = d.consumer_on_critical_path;
 
-    if (!held) {
-      // First iteration: nothing has been prefetched yet.
-      held = co_await fetch_and_compose(op, iter);
+      if (!held) {
+        // First iteration: nothing has been prefetched yet.
+        held = co_await fetch_and_compose(op, iter);
+      }
+      co_await dispatch(op, iter, *held);
+      ++st.critical.dispatches;
     }
-    co_await dispatch(op, iter, *held);
     held.reset();
-    ++st.critical.dispatches;
 
     // §2: "Relocation of an operator can occur after it has dispatched its
-    // output and before it requests new data."
-    co_await relocation_window(op, iter);
+    // output and before it requests new data." Each half is awaited only
+    // when it can act: the policy's for a policy that acts in its window,
+    // the change-over's while a barrier is active.
+    if (acts_in_window_) co_await policy_->relocation_window(*this, op);
+    if (coordinator_.barrier_active()) {
+      co_await coordinator_.operator_window(op, iter);
+    }
 
     if (iter + 1 < n) {
       held = co_await fetch_and_compose(op, iter + 1);
@@ -681,8 +684,11 @@ sim::Task<workload::ImageSpec> Engine::fetch_and_compose(core::OperatorId op,
   const workload::ImageSpec& right =
       first.producer_side == 0 ? second.image : first.image;
   const workload::ImageSpec out = workload::compose(left, right);
-  co_await compute_at(coordinator_.operator_location(op),
-                      workload_.compose_seconds(out));
+  {
+    auto cpu =
+        co_await host_state(coordinator_.operator_location(op)).cpu->acquire();
+    co_await sim_.delay(workload_.compose_seconds(out));
+  }
 
   if (cache_ != nullptr && !done_ && !aborted_) {
     // Register the freshly materialized sub-result. The recreate cost —
@@ -741,8 +747,8 @@ sim::Task<std::optional<workload::ImageSpec>> Engine::try_cache_fetch(
     cache_->on_miss(requester);
     co_return std::nullopt;
   }
-  if (!hit->local && !co_await hop(hit->replica, requester, hit->image.bytes,
-                                   net::kDataPriority)) {
+  if (!hit->local && !co_await Hop(*this, hit->replica, requester,
+                                   hit->image.bytes, net::kDataPriority)) {
     // Replica unreachable right now; treat as a miss and recompute.
     cache_->on_miss(requester);
     co_return std::nullopt;
@@ -801,23 +807,6 @@ sim::Task<void> Engine::dispatch(core::OperatorId op, int iteration,
                           begin, sim_.now(),
                           {{"iteration", iteration}, {"bytes", image.bytes}});
   }
-}
-
-sim::Task<void> Engine::compute_at(net::HostId host, double seconds) {
-  HostState& hs = host_state(host);
-  auto lock = co_await hs.cpu->acquire();
-  co_await sim_.delay(seconds);
-}
-
-// ---------------------------------------------------------------------------
-// relocation
-
-sim::Task<void> Engine::relocation_window(core::OperatorId op,
-                                          int iteration) {
-  // Both halves are no-ops when the policy does not use them, so awaiting
-  // them unconditionally adds no simulation events.
-  co_await policy_->relocation_window(*this, op);
-  co_await coordinator_.operator_window(op, iteration);
 }
 
 }  // namespace wadc::dataflow

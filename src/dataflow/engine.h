@@ -29,6 +29,7 @@
 // paper from them.
 #pragma once
 
+#include <coroutine>
 #include <functional>
 #include <map>
 #include <memory>
@@ -52,6 +53,7 @@
 #include "net/network.h"
 #include "net/reliable_transfer.h"
 #include "sim/mailbox.h"
+#include "sim/continuation.h"
 #include "sim/resource.h"
 #include "sim/simulation.h"
 #include "sim/sync.h"
@@ -140,7 +142,6 @@ class Engine : private EngineServices {
                                                    int iteration);
   sim::Task<void> dispatch(core::OperatorId op, int iteration,
                            const workload::ImageSpec& image);
-  sim::Task<void> relocation_window(core::OperatorId op, int iteration);
 
   // ---- result cache (active only when params_.cache_fabric is set) ------
   // Content-addressed key for the result of subtree `c` at `iteration`
@@ -171,19 +172,24 @@ class Engine : private EngineServices {
   void finish_detached();
 
   // ---- messaging ---------------------------------------------------------
-  // Thin wrapper over router_ (see engine_messaging.h for semantics).
-  sim::Task<net::HostId> route_to_operator(net::HostId from,
-                                           core::OperatorId target,
-                                           int iteration, double bytes,
-                                           int priority);
-  sim::Task<bool> send_demand_to_child(core::OperatorId from_op,
-                                       const core::Child& child,
-                                       Demand demand);
-  sim::Task<bool> send_data_to_consumer(core::OperatorId producer,
-                                        DataMessage message);
+  // The message path allocates no coroutine frame: a message travels from
+  // the sending actor to the receiver's mailbox through these awaiters,
+  // which live in the sender's frame (defined below the class; bodies in
+  // engine_messaging.cc).
+  class Hop;    // one physical hop with piggyback, through channel_
+  class Route;  // a Hop re-armed for each leg of a MessageRouter chase
+  template <typename Msg>
+  class Post;  // a Route that posts into the receiver's mailbox
+  // Sends a demand from operator `from_op` to its child; co_await yields
+  // false if it did not arrive (fault mode only).
+  Post<Demand> send_demand_to_child(core::OperatorId from_op,
+                                    const core::Child& child,
+                                    const Demand& demand);
+  // Sends a producer's output to its consumer for message.iteration.
+  Post<DataMessage> send_data_to_consumer(core::OperatorId producer,
+                                          const DataMessage& message);
 
   // ---- helpers -----------------------------------------------------------
-  sim::Task<void> compute_at(net::HostId host, double seconds);
   OperatorState& op_state(core::OperatorId op);
   HostState& host_state(net::HostId h);
   // Which input side (0 = left, 1 = right) an entity feeds under a tree.
@@ -207,7 +213,9 @@ class Engine : private EngineServices {
   const net::LinkTable& links() const override { return network_.links(); }
   Rng& rng() override { return rng_; }
   // One physical hop with monitoring piggyback (and, for directory-based
-  // routing, directory propagation), through the reliable channel.
+  // routing, directory propagation): a Hop awaited for the coordinator and
+  // the policies, whose control messages come tens per run. The engine's
+  // own messages await Hop, Route and Post directly.
   sim::Task<bool> hop(net::HostId from, net::HostId to, double bytes,
                       int priority) override;
   double retry_backoff(int attempt) override {
@@ -296,11 +304,129 @@ class Engine : private EngineServices {
   bool uses_directory_ = false;
   bool uses_barrier_ = false;
   bool adapts_order_ = false;
+  bool acts_in_window_ = false;
   ChangeOverCoordinator coordinator_;
   // Routing sublayer; acts on the engine only through EngineServices plus
   // the epoch-placement lookup (constructed after coordinator_, which that
   // lookup reads).
   MessageRouter router_;
+};
+
+// One physical hop of an engine message. Before every attempt of the
+// reliable send it rebuilds the sender's piggyback payload (§4) and, under
+// directory routing, the sender's directory snapshot (§2.3); on delivery
+// it merges both at the receiver, inside the delivering event. The run
+// finishing or aborting cancels the retries. A from == to hop moves
+// nothing: it completes at once, with no transfer, payload or event.
+class Engine::Hop {
+ public:
+  Hop(Engine& engine, net::HostId from, net::HostId to, double bytes,
+      int priority);
+  Hop(const Hop&) = delete;
+  Hop& operator=(const Hop&) = delete;
+
+  bool await_ready() const { return from_ == to_; }
+  bool await_suspend(std::coroutine_handle<> waiter) {
+    return !start(sim::Continuation::resume(waiter));
+  }
+  bool await_resume() const { return delivered(); }
+
+  // Begins the hop: true if it finished at once, otherwise `done` runs
+  // when it resolves.
+  bool start(sim::Continuation done);
+  // Points a finished hop at the next leg of the same message.
+  void rearm(net::HostId from, net::HostId to);
+  bool delivered() const { return from_ == to_ || send_.delivered(); }
+
+ private:
+  static double build_bytes(void* self);
+  static void on_delivered(void* self);
+  static bool cancelled(void* self);
+
+  Engine& engine_;
+  net::HostId from_;
+  net::HostId to_;
+  double bytes_;
+  monitor::Payload payload_;
+  std::unique_ptr<core::OperatorDirectory> directory_snapshot_;
+  net::ReliableChannel::SendAwaiter send_;
+};
+
+// A message on its way: one Hop, re-armed for each leg of the chase the
+// router starts it on (see MessageRouter::Chase). co_await yields the host
+// it arrived at, or kInvalidHost if a leg failed or the chase gave up
+// (fault mode only; the caller re-resolves and tries again).
+class Engine::Route {
+ public:
+  Route(Engine& engine, const MessageRouter::Chase& chase, double bytes,
+        int priority)
+      : engine_(engine),
+        chase_(chase),
+        hop_(engine, chase.at, chase.next, bytes, priority) {}
+  Route(const Route&) = delete;
+  Route& operator=(const Route&) = delete;
+
+  bool await_ready() const { return false; }
+  bool await_suspend(std::coroutine_handle<> waiter) {
+    return !start(sim::Continuation::resume(waiter));
+  }
+  net::HostId await_resume() const { return chase_.at; }
+
+  // Begins the route: true if it finished at once, otherwise `done` runs
+  // when it does.
+  bool start(sim::Continuation done);
+  bool arrived() const { return chase_.at != net::kInvalidHost; }
+
+ private:
+  // Makes legs until one is in flight (false) or the way is over (true).
+  bool run();
+  // The in-flight leg's completion target.
+  void on_leg();
+
+  Engine& engine_;
+  MessageRouter::Chase chase_;
+  Hop hop_;
+  sim::Continuation done_;
+};
+
+// A Route that posts its message into the receiver's mailbox on arrival,
+// inside the delivering event and before the sender resumes. co_await
+// yields whether the message arrived.
+template <typename Msg>
+class Engine::Post {
+ public:
+  Post(Engine& engine, const MessageRouter::Chase& chase, double bytes,
+       int priority, const Msg& message, sim::Mailbox<Msg>& mailbox)
+      : route_(engine, chase, bytes, priority),
+        message_(message),
+        mailbox_(mailbox) {}
+  Post(const Post&) = delete;
+  Post& operator=(const Post&) = delete;
+
+  bool await_ready() const { return false; }
+  bool await_suspend(std::coroutine_handle<> waiter) {
+    waiter_ = waiter;
+    if (!route_.start(sim::Continuation::member<Post, &Post::on_route>(this))) {
+      return true;
+    }
+    post();
+    return false;
+  }
+  bool await_resume() const { return route_.arrived(); }
+
+ private:
+  void post() {
+    if (route_.arrived()) mailbox_.send(message_);
+  }
+  void on_route() {
+    post();
+    waiter_.resume();
+  }
+
+  Route route_;
+  Msg message_;
+  sim::Mailbox<Msg>& mailbox_;
+  std::coroutine_handle<> waiter_;
 };
 
 }  // namespace wadc::dataflow

@@ -1,8 +1,9 @@
 // Engine messaging: the routing sublayer between the actors (engine.cc)
 // and the reliable transport (net/reliable_transfer.h). The MessageRouter
-// (engine_messaging.h) resolves destinations and forwards around stale
-// locations through the EngineServices seam; the engine-specific pieces
-// here attach the per-hop piggyback payloads and deliver into mailboxes.
+// (engine_messaging.h) decides each hop of a message through the
+// EngineServices seam; the engine's awaiters here (Hop, Route, Post; see
+// engine.h) make those hops with the per-hop piggyback payloads and
+// deliver into mailboxes, without a coroutine frame.
 #include "dataflow/engine.h"
 #include "dataflow/engine_messaging.h"
 
@@ -19,134 +20,170 @@ net::HostId MessageRouter::believed_location(net::HostId from_host,
   return placement_for_(iteration).location(target);
 }
 
-sim::Task<net::HostId> MessageRouter::route_to_operator(net::HostId from,
-                                                        core::OperatorId target,
-                                                        int iteration,
-                                                        double bytes,
-                                                        int priority) {
-  const net::HostId believed = believed_location(from, target, iteration);
-  if (!co_await services_.hop(from, believed, bytes, priority)) {
-    co_return net::kInvalidHost;
+bool MessageRouter::advance(Chase& chase, bool delivered) {
+  if (!delivered) {
+    chase.at = net::kInvalidHost;
+    return true;
   }
-  if (!uses_directory_) {
-    // Placement-based routing is authoritative: the change-over protocol
-    // guarantees the operator is (or is about to be) at this host for this
-    // iteration.
-    co_return believed;
-  }
-  // The local algorithm can be stale; the old host forwards (it performed
-  // the move, so it knows the new location).
-  net::HostId at = believed;
-  int forwards = 0;
-  while (at != services_.operator_location(target)) {
-    if (services_.faults_active()) {
-      // Repair can move an operator several times while a message chases
-      // it; give up (and let the caller re-resolve) rather than assert.
-      if (++forwards > 8 + services_.base_tree().num_hosts()) {
-        co_return net::kInvalidHost;
-      }
-    } else {
-      WADC_ASSERT(++forwards <= 8, "operator forwarding chain too long");
-    }
-    const net::HostId next = services_.operator_location(target);
-    if (obs::Tracer* tracer = services_.observability().tracer) {
-      tracer->instant("engine", "stale_forward", at,
-                      obs::operator_lane(target),
-                      services_.simulation().now(),
-                      {{"op", target}, {"next", next}});
-    }
-    if (!co_await services_.hop(at, next, bytes, priority)) {
-      co_return net::kInvalidHost;
-    }
+  if (chase.forwards > 0) {
+    // Every hop after the first is a forward from a stale location.
     ++services_.stats().messages_forwarded;
     if (forwards_counter_) forwards_counter_->add();
-    at = next;
   }
-  co_return at;
+  chase.at = chase.next;
+  // A message for a host has arrived. Placement-based routing is
+  // authoritative: the change-over protocol guarantees the operator is (or
+  // is about to be) at this host for this iteration.
+  if (chase.target == core::kNoOperator || !uses_directory_) return true;
+  // The local algorithm can be stale; the old host forwards (it performed
+  // the move, so it knows the new location).
+  if (chase.at == services_.operator_location(chase.target)) return true;
+  if (services_.faults_active()) {
+    // Repair can move an operator several times while a message chases
+    // it; give up (and let the caller re-resolve) rather than assert.
+    if (++chase.forwards > 8 + services_.base_tree().num_hosts()) {
+      chase.at = net::kInvalidHost;
+      return true;
+    }
+  } else {
+    WADC_ASSERT(++chase.forwards <= 8, "operator forwarding chain too long");
+  }
+  chase.next = services_.operator_location(chase.target);
+  if (obs::Tracer* tracer = services_.observability().tracer) {
+    tracer->instant("engine", "stale_forward", chase.at,
+                    obs::operator_lane(chase.target),
+                    services_.simulation().now(),
+                    {{"op", chase.target}, {"next", chase.next}});
+  }
+  return false;
+}
+
+// ---------------------------------------------------------------------------
+// Engine::Hop
+
+Engine::Hop::Hop(Engine& engine, net::HostId from, net::HostId to,
+                 double bytes, int priority)
+    : engine_(engine),
+      from_(from),
+      to_(to),
+      bytes_(bytes),
+      send_(engine.channel_.send(
+          from, to, priority,
+          {&Hop::build_bytes, &Hop::on_delivered, &Hop::cancelled, this})) {}
+
+bool Engine::Hop::start(sim::Continuation done) {
+  if (from_ == to_) return true;
+  return send_.start(done);
+}
+
+void Engine::Hop::rearm(net::HostId from, net::HostId to) {
+  from_ = from;
+  to_ = to;
+  // The previous leg's payload and snapshot are done with.
+  payload_ = {};
+  directory_snapshot_.reset();
+  send_.rearm(from, to);
+}
+
+double Engine::Hop::build_bytes(void* self) {
+  // Rebuilt before every attempt: the sender's knowledge may have advanced
+  // during the backoff.
+  Hop& hop = *static_cast<Hop*>(self);
+  Engine& engine = hop.engine_;
+  hop.payload_ = engine.monitoring_.piggyback_payload_shared(hop.from_);
+  double total = hop.bytes_ + engine.monitoring_.payload_bytes(hop.payload_);
+  hop.directory_snapshot_.reset();
+  if (engine.uses_directory_) {
+    // §2.3: location/timestamp vectors ride on every outgoing message.
+    total += engine.directory_bytes();
+    hop.directory_snapshot_ = std::make_unique<core::OperatorDirectory>(
+        *engine.host_state(hop.from_).directory);
+  }
+  return total;
+}
+
+void Engine::Hop::on_delivered(void* self) {
+  Hop& hop = *static_cast<Hop*>(self);
+  Engine& engine = hop.engine_;
+  engine.monitoring_.deliver_payload(hop.to_, hop.payload_);
+  if (hop.directory_snapshot_) {
+    engine.host_state(hop.to_).directory->merge(*hop.directory_snapshot_);
+  }
+}
+
+bool Engine::Hop::cancelled(void* self) {
+  const Engine& engine = static_cast<Hop*>(self)->engine_;
+  return engine.done_ || engine.aborted_;
 }
 
 sim::Task<bool> Engine::hop(net::HostId from, net::HostId to, double bytes,
                             int priority) {
-  if (from == to) co_return true;
-  // The channel re-invokes the builder before every attempt: the piggyback
-  // payload and directory snapshot are rebuilt because the sender's
-  // knowledge may have advanced during the backoff.
-  monitor::Payload payload;
-  std::unique_ptr<core::OperatorDirectory> directory_snapshot;
-  co_return co_await channel_.send(
-      from, to, priority,
-      [&] {
-        payload = monitoring_.piggyback_payload_shared(from);
-        double total = bytes + monitoring_.payload_bytes(payload);
-        directory_snapshot.reset();
-        if (uses_directory_) {
-          // §2.3: location/timestamp vectors ride on every outgoing message.
-          total += directory_bytes();
-          directory_snapshot = std::make_unique<core::OperatorDirectory>(
-              *host_state(from).directory);
-        }
-        return total;
-      },
-      [&] {
-        monitoring_.deliver_payload(to, payload);
-        if (directory_snapshot) {
-          host_state(to).directory->merge(*directory_snapshot);
-        }
-      },
-      [&] { return done_ || aborted_; });
+  co_return co_await Hop(*this, from, to, bytes, priority);
 }
 
-sim::Task<net::HostId> Engine::route_to_operator(net::HostId from,
-                                                 core::OperatorId target,
-                                                 int iteration, double bytes,
-                                                 int priority) {
-  return router_.route_to_operator(from, target, iteration, bytes, priority);
+// ---------------------------------------------------------------------------
+// Engine::Route
+
+bool Engine::Route::start(sim::Continuation done) {
+  done_ = done;
+  return run();
 }
 
-sim::Task<bool> Engine::send_demand_to_child(core::OperatorId from_op,
-                                             const core::Child& child,
-                                             Demand demand) {
+bool Engine::Route::run() {
+  for (;;) {
+    if (!hop_.start(sim::Continuation::member<Route, &Route::on_leg>(this))) {
+      return false;
+    }
+    if (engine_.router_.advance(chase_, hop_.delivered())) return true;
+    hop_.rearm(chase_.at, chase_.next);
+  }
+}
+
+void Engine::Route::on_leg() {
+  if (!engine_.router_.advance(chase_, hop_.delivered())) {
+    hop_.rearm(chase_.at, chase_.next);
+    if (!run()) return;
+  }
+  // The caller may destroy this awaiter as soon as done_ runs.
+  done_();
+}
+
+// ---------------------------------------------------------------------------
+// demand and data sends
+
+Engine::Post<Demand> Engine::send_demand_to_child(core::OperatorId from_op,
+                                                  const core::Child& child,
+                                                  const Demand& demand) {
   const net::HostId from = coordinator_.operator_location(from_op);
   if (uses_barrier_ && demand.pending_version > 0) {
     coordinator_.note_version_forwarded(from_op, demand.pending_version);
   }
   if (child.is_server()) {
-    if (!co_await hop(from, tree_.server_host(child.index), kDemandBytes,
-                      net::kDataPriority)) {
-      co_return false;
-    }
-    servers_[static_cast<std::size_t>(child.index)].demands->send(demand);
-  } else {
-    if (co_await route_to_operator(from, child.index, demand.iteration,
-                                   kDemandBytes, net::kDataPriority) ==
-        net::kInvalidHost) {
-      co_return false;
-    }
-    op_state(child.index).demands->send(demand);
+    return Post<Demand>(
+        *this, MessageRouter::to_host(from, tree_.server_host(child.index)),
+        kDemandBytes, net::kDataPriority, demand,
+        *servers_[static_cast<std::size_t>(child.index)].demands);
   }
-  co_return true;
+  return Post<Demand>(*this,
+                      router_.to_operator(from, child.index, demand.iteration),
+                      kDemandBytes, net::kDataPriority, demand,
+                      *op_state(child.index).demands);
 }
 
-sim::Task<bool> Engine::send_data_to_consumer(core::OperatorId producer,
-                                              DataMessage message) {
+Engine::Post<DataMessage> Engine::send_data_to_consumer(
+    core::OperatorId producer, const DataMessage& message) {
   const net::HostId from = coordinator_.operator_location(producer);
   const core::OperatorId parent =
       tree_for(message.iteration).parent(producer);
   if (parent == core::kNoOperator) {
-    if (!co_await hop(from, tree_.client_host(), message.image.bytes,
-                      net::kDataPriority)) {
-      co_return false;
-    }
-    client_data_->send(message);
-  } else {
-    if (co_await route_to_operator(from, parent, message.iteration,
-                                   message.image.bytes, net::kDataPriority) ==
-        net::kInvalidHost) {
-      co_return false;
-    }
-    op_state(parent).data->send(message);
+    return Post<DataMessage>(
+        *this, MessageRouter::to_host(from, tree_.client_host()),
+        message.image.bytes, net::kDataPriority, message, *client_data_);
   }
-  co_return true;
+  return Post<DataMessage>(
+      *this, router_.to_operator(from, parent, message.iteration),
+      message.image.bytes, net::kDataPriority, message,
+      *op_state(parent).data);
 }
 
 }  // namespace wadc::dataflow

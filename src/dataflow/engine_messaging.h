@@ -3,10 +3,13 @@
 // plan or directory and forwards around stale locations (§2.3's
 // location/timestamp vectors can lag the truth).
 //
-// Extracted behind EngineServices so routing is unit-testable against
+// The router only decides; it never awaits. A message's way is a Chase:
+// the engine's route awaiter (Engine::Route, engine.h) makes each hop the
+// chase names and hands the outcome back to advance(), which says whether
+// the message has arrived, must be forwarded, or is given up. Extracted
+// behind EngineServices so routing is unit-testable against
 // MockEngineServices without constructing a full Engine (see
-// tests/engine_messaging_test.cc). The Engine owns one MessageRouter and
-// keeps thin delegating wrappers for its actors.
+// tests/engine_messaging_test.cc).
 #pragma once
 
 #include <functional>
@@ -16,7 +19,6 @@
 #include "dataflow/engine_services.h"
 #include "net/types.h"
 #include "obs/metrics.h"
-#include "sim/task.h"
 
 namespace wadc::dataflow {
 
@@ -43,14 +45,36 @@ class MessageRouter {
   net::HostId believed_location(net::HostId from_host, core::OperatorId target,
                                 int iteration);
 
-  // Routes a message of `bytes` to the operator's believed location,
-  // forwarding from a stale location if necessary. Returns the host
-  // actually delivered to, or kInvalidHost (fault mode only) if delivery
-  // failed — the caller should re-resolve and try again.
-  sim::Task<net::HostId> route_to_operator(net::HostId from,
-                                           core::OperatorId target,
-                                           int iteration, double bytes,
-                                           int priority);
+  // One message's way to its destination: it is at `at`, and the hop in
+  // flight (or about to start) takes it to `next`. `target` is the
+  // destination operator, or kNoOperator for a message to a host.
+  struct Chase {
+    core::OperatorId target = core::kNoOperator;
+    net::HostId at = net::kInvalidHost;
+    net::HostId next = net::kInvalidHost;
+    int forwards = 0;  // forward hops begun so far
+  };
+
+  // A message from `from` to host `host`: one hop, nothing to chase.
+  static Chase to_host(net::HostId from, net::HostId host) {
+    return Chase{core::kNoOperator, from, host, 0};
+  }
+  // A message from `from` to operator `target`, for `iteration`: first a
+  // hop to the sender's believed location.
+  Chase to_operator(net::HostId from, core::OperatorId target,
+                    int iteration) {
+    return Chase{target, from, believed_location(from, target, iteration),
+                 0};
+  }
+
+  // Takes the outcome of the hop to `chase.next`. Returns true when the
+  // message's way is over: `chase.at` is then the host it arrived at, or
+  // kInvalidHost if the hop failed or the chase gave up (fault mode only;
+  // the caller should re-resolve and try again). Returns false when the
+  // message must be forwarded from a stale location: `chase.next` is then
+  // the next hop, and its stale_forward trace instant has been emitted.
+  // Placement-based routing is authoritative and never forwards.
+  bool advance(Chase& chase, bool delivered);
 
   void set_forwards_counter(obs::Counter* counter) {
     forwards_counter_ = counter;

@@ -37,6 +37,7 @@ void BandwidthCache::record(net::HostId a, net::HostId b, double bandwidth,
   const std::size_t i = index_of(a, b);
   Sample& e = entries_[i];
   if (measured_at > e.measured_at) {
+    if (e.measured_at < 0) ++measured_;
     e.bandwidth = bandwidth;
     e.measured_at = measured_at;
     memo_stale_ = true;
@@ -130,6 +131,7 @@ void BandwidthCache::merge(const std::vector<PairSample>& samples) {
 
 void BandwidthCache::invalidate(net::HostId a, net::HostId b) {
   const std::size_t i = index_of(a, b);
+  if (entries_[i].measured_at >= 0) --measured_;
   entries_[i] = Sample{};
   if (live_slot_[i] != kNotLive) drop_live(live_slot_[i]);
   memo_stale_ = true;
@@ -139,14 +141,6 @@ void BandwidthCache::invalidate_host(net::HostId h) {
   for (net::HostId other = 0; other < num_hosts_; ++other) {
     if (other != h) invalidate(h, other);
   }
-}
-
-std::size_t BandwidthCache::entry_count() const {
-  std::size_t n = 0;
-  for (const Sample& e : entries_) {
-    if (e.measured_at >= 0) ++n;
-  }
-  return n;
 }
 
 std::size_t BandwidthCache::unexpired_count(sim::SimTime now) const {

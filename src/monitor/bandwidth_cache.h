@@ -77,7 +77,8 @@ class BandwidthCache {
   // crashed host describe a network that no longer exists.
   void invalidate_host(net::HostId h);
 
-  std::size_t entry_count() const;
+  // Measured pairs, expired or not: a running count, O(1).
+  std::size_t entry_count() const { return measured_; }
   std::size_t unexpired_count(sim::SimTime now) const;
 
  private:
@@ -90,6 +91,10 @@ class BandwidthCache {
   int num_hosts_;
   sim::SimTime ttl_;
   std::vector<Sample> entries_;  // indexed by pair_index; measured_at<0 = none
+  // Entries with measured_at >= 0. record() counts a never-measured pair
+  // it fills, invalidate() a measured pair it clears; nothing else changes
+  // whether a pair is measured.
+  std::size_t measured_ = 0;
 
   // The measured pairs that may still be fresh, unordered, and each pair's
   // position in that list (kNotLive when absent), so record() and

@@ -180,18 +180,24 @@ Network::TransferAwaiter Network::transfer(HostId src, HostId dst,
                                            double bytes, int priority,
                                            double timeout_seconds,
                                            int session) {
-  WADC_ASSERT(src >= 0 && src < num_hosts(), "bad src host");
-  WADC_ASSERT(dst >= 0 && dst < num_hosts(), "bad dst host");
+  return TransferAwaiter(*this, src, dst, bytes, priority, timeout_seconds,
+                         session);
+}
+
+void Network::TransferAwaiter::rearm(HostId src, HostId dst, double bytes,
+                                     double timeout_seconds) {
+  WADC_ASSERT(src >= 0 && src < network_.num_hosts(), "bad src host");
+  WADC_ASSERT(dst >= 0 && dst < network_.num_hosts(), "bad dst host");
   WADC_ASSERT(bytes >= 0, "negative transfer size");
   WADC_ASSERT(timeout_seconds > 0, "non-positive transfer timeout");
-
   TransferRecord record;
   record.src = src;
   record.dst = dst;
   record.bytes = bytes;
-  record.priority = priority;
-  record.session = session;
-  return TransferAwaiter(*this, record, timeout_seconds);
+  record.priority = record_.priority;
+  record.session = record_.session;
+  record_ = record;
+  timeout_seconds_ = timeout_seconds;
 }
 
 bool Network::TransferAwaiter::await_ready() {
@@ -201,9 +207,11 @@ bool Network::TransferAwaiter::await_ready() {
   return true;
 }
 
-void Network::TransferAwaiter::await_suspend(std::coroutine_handle<> waiter) {
-  waiter_ = waiter;
+bool Network::TransferAwaiter::start(sim::Continuation done) {
+  if (await_ready()) return true;
+  done_ = done;
   network_.enqueue(*this);
+  return false;
 }
 
 void Network::enqueue(TransferAwaiter& transfer) {
@@ -291,7 +299,7 @@ Network::ActiveIt Network::find_active(std::uint64_t seq) {
 }
 
 void Network::wake(const TransferAwaiter& transfer) {
-  auto resume = [h = transfer.waiter_] { h.resume(); };
+  auto resume = [done = transfer.done_] { done(); };
   static_assert(sim::Callback::fits_inline<decltype(resume)>(),
                 "resume thunks must stay allocation-free");
   sim_.schedule_at(sim_.now(), resume);

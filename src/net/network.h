@@ -40,6 +40,7 @@
 #include "net/transport.h"
 #include "net/types.h"
 #include "obs/obs.h"
+#include "sim/continuation.h"
 #include "sim/simulation.h"
 
 namespace wadc::net {
@@ -128,30 +129,45 @@ class Network {
   // The awaitable transfer() returns. It lives in the awaiting coroutine's
   // frame for the whole transfer — the network's queue entries point at
   // it — so a transfer costs no frame of its own, and it can be neither
-  // copied nor moved. The process resumes through the event queue at
-  // delivery (or failure/timeout) time; a local transfer (src == dst)
-  // completes without suspending.
+  // copied nor moved. At delivery (or failure/timeout) time one wake event
+  // runs its completion target: the awaiting coroutine, or the callback of
+  // an awaiter layered above it (ReliableChannel's send). A local transfer
+  // (src == dst) completes at once, with no event.
   class [[nodiscard]] TransferAwaiter {
    public:
     TransferAwaiter(const TransferAwaiter&) = delete;
     TransferAwaiter& operator=(const TransferAwaiter&) = delete;
 
     bool await_ready();
-    void await_suspend(std::coroutine_handle<> waiter);
+    void await_suspend(std::coroutine_handle<> waiter) {
+      done_ = sim::Continuation::resume(waiter);
+      network_.enqueue(*this);
+    }
     TransferRecord await_resume() const { return record_; }
+
+    // Drives the transfer from an awaiter layered above instead of a
+    // coroutine. Returns true if it resolved at once (a local transfer;
+    // `done` never runs); otherwise `done` runs inside the wake event.
+    bool start(sim::Continuation done);
+    // Re-targets a resolved transfer, so one awaiter carries every attempt
+    // and hop of a message. Priority and session tag stay.
+    void rearm(HostId src, HostId dst, double bytes, double timeout_seconds);
+    const TransferRecord& record() const { return record_; }
 
    private:
     friend class Network;
-    TransferAwaiter(Network& network, const TransferRecord& record,
-                    double timeout_seconds)
-        : network_(network),
-          timeout_seconds_(timeout_seconds),
-          record_(record) {}
+    TransferAwaiter(Network& network, HostId src, HostId dst, double bytes,
+                    int priority, double timeout_seconds, int session)
+        : network_(network) {
+      record_.priority = priority;
+      record_.session = session;
+      rearm(src, dst, bytes, timeout_seconds);
+    }
 
     Network& network_;
-    double timeout_seconds_;
+    double timeout_seconds_ = kNoTransferTimeout;
     TransferRecord record_;
-    std::coroutine_handle<> waiter_;
+    sim::Continuation done_;
   };
 
   // Moves `bytes` from src to dst; `co_await` it to receive the timing
@@ -274,7 +290,7 @@ class Network {
   void start(const Pending& p);
   // The active transfer with this seq, or active_transfers_.end().
   ActiveIt find_active(std::uint64_t seq);
-  // Resumes the awaiting process through the event queue, now.
+  // Runs the transfer's completion target through the event queue, now.
   void wake(const TransferAwaiter& transfer);
 
   // Delivery-time handler for the active transfer with the given seq.

@@ -15,24 +15,52 @@ double ReliableChannel::retry_backoff(int attempt) {
   return delay * (0.75 + 0.5 * jitter_rng_.next_double());
 }
 
-sim::Task<bool> ReliableChannel::send(HostId from, HostId to, int priority,
-                                      FunctionRef<double()> build_bytes,
-                                      FunctionRef<void()> on_delivered,
-                                      FunctionRef<bool()> cancelled) {
-  for (int attempt = 0;; ++attempt) {
-    const double bytes = build_bytes();
-    const auto rec = co_await transfer(from, to, bytes, priority);
-    if (rec.ok()) {
-      on_delivered();
-      co_return true;
-    }
-    if (attempt >= policy_.max_retries || cancelled()) co_return false;
-    const double backoff = retry_backoff(attempt);
-    if (retry_listener_.fn != nullptr) {
-      retry_listener_.fn(retry_listener_.ctx, from, to, attempt, backoff);
-    }
-    co_await network_.simulation().delay(backoff);
+bool ReliableChannel::SendAwaiter::start(sim::Continuation done) {
+  done_ = done;
+  attempt_ = 0;
+  delivered_ = false;
+  return attempt();
+}
+
+bool ReliableChannel::SendAwaiter::attempt() {
+  const double bytes = hooks_.build_bytes(hooks_.ctx);
+  transfer_.rearm(from_, to_, bytes, channel_.timeout_for(bytes));
+  if (!transfer_.start(
+          sim::Continuation::member<SendAwaiter, &SendAwaiter::on_transfer>(
+              this))) {
+    return false;
   }
+  return settle();
+}
+
+bool ReliableChannel::SendAwaiter::settle() {
+  if (transfer_.record().ok()) {
+    delivered_ = true;
+    hooks_.on_delivered(hooks_.ctx);
+    return true;
+  }
+  if (attempt_ >= channel_.policy_.max_retries ||
+      hooks_.cancelled(hooks_.ctx)) {
+    return true;
+  }
+  const double backoff = channel_.retry_backoff(attempt_);
+  const RetryListener& listener = channel_.retry_listener_;
+  if (listener.fn != nullptr) {
+    listener.fn(listener.ctx, from_, to_, attempt_, backoff);
+  }
+  auto retry = [this] {
+    ++attempt_;
+    if (attempt()) done_();
+  };
+  static_assert(sim::Callback::fits_inline<decltype(retry)>(),
+                "retry thunks must stay allocation-free");
+  channel_.network_.simulation().schedule_in(backoff, retry);
+  return false;
+}
+
+void ReliableChannel::SendAwaiter::on_transfer() {
+  // The caller may destroy this awaiter as soon as done_ runs.
+  if (settle()) done_();
 }
 
 }  // namespace wadc::net

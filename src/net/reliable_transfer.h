@@ -15,10 +15,11 @@
 // schedules run over run.
 #pragma once
 
-#include "common/function_ref.h"
+#include <coroutine>
+
 #include "common/rng.h"
 #include "net/network.h"
-#include "sim/task.h"
+#include "sim/continuation.h"
 
 namespace wadc::net {
 
@@ -53,12 +54,85 @@ class ReliableChannel {
   // A raw function-pointer + context pair, not a std::function: the
   // listener sits on the retry hot path, and kernel-level callbacks never
   // type-erase through a potentially allocating wrapper (see
-  // docs/PERFORMANCE.md). The callables send() takes are FunctionRefs for
-  // the same reason.
+  // docs/PERFORMANCE.md). A send's Hooks follow the same rule.
   struct RetryListener {
     void (*fn)(void* ctx, HostId from, HostId to, int attempt,
                double backoff_seconds) = nullptr;
     void* ctx = nullptr;
+  };
+
+  // What a send asks of the message it carries, over one context (for the
+  // engine, the hop awaiter that holds the send):
+  //   - build_bytes: the message's size, re-evaluated before every attempt
+  //     (piggybacked payloads may have grown during the backoff);
+  //   - on_delivered: runs exactly once, when an attempt delivers, before
+  //     the send reports completion;
+  //   - cancelled: asked after a failed attempt; true gives up at once,
+  //     without backing off.
+  struct Hooks {
+    double (*build_bytes)(void* ctx);
+    void (*on_delivered)(void* ctx);
+    bool (*cancelled)(void* ctx);
+    void* ctx;
+  };
+
+  // The awaitable send() returns: attempt, then retry with capped backoff
+  // until delivered, retries are exhausted, or the message is cancelled.
+  // It lives in the caller's frame — the network and the event queue point
+  // at it — so it can be neither copied nor moved, and a retry costs one
+  // backoff event and no frame. `co_await` yields true once delivered; a
+  // local send (from == to) delivers at once, with no event.
+  class [[nodiscard]] SendAwaiter {
+   public:
+    SendAwaiter(const SendAwaiter&) = delete;
+    SendAwaiter& operator=(const SendAwaiter&) = delete;
+
+    bool await_ready() const { return false; }
+    bool await_suspend(std::coroutine_handle<> waiter) {
+      return !start(sim::Continuation::resume(waiter));
+    }
+    bool await_resume() const { return delivered_; }
+
+    // Drives the send from an awaiter layered above instead of a
+    // coroutine. Returns true if it finished at once (a local send);
+    // otherwise `done` runs when it finishes, inside the event of the last
+    // attempt's resolution.
+    bool start(sim::Continuation done);
+    // Re-targets a finished send for the next hop of the same message.
+    void rearm(HostId from, HostId to) {
+      from_ = from;
+      to_ = to;
+    }
+    bool delivered() const { return delivered_; }
+
+   private:
+    friend class ReliableChannel;
+    SendAwaiter(ReliableChannel& channel, HostId from, HostId to,
+                int priority, Hooks hooks)
+        : channel_(channel),
+          hooks_(hooks),
+          transfer_(channel.network_.transfer(from, to, 0, priority,
+                                              kNoTransferTimeout,
+                                              channel.session_tag_)),
+          from_(from),
+          to_(to) {}
+
+    // Starts attempt number attempt_: true if the send finished at once.
+    bool attempt();
+    // Handles a resolved attempt: true if the send is over, false if a
+    // retry was scheduled.
+    bool settle();
+    // The transfer's completion target.
+    void on_transfer();
+
+    ReliableChannel& channel_;
+    Hooks hooks_;
+    Network::TransferAwaiter transfer_;
+    sim::Continuation done_;
+    HostId from_;
+    HostId to_;
+    int attempt_ = 0;
+    bool delivered_ = false;
   };
 
   ReliableChannel(Network& network, const RetryPolicy& policy, Rng jitter_rng)
@@ -90,17 +164,10 @@ class ReliableChannel {
                              session_tag_);
   }
 
-  // Full reliable send: attempt, then retry with capped backoff until
-  // delivered, retries are exhausted, or `cancelled` reports the caller no
-  // longer wants the message. `build_bytes` is re-evaluated before every
-  // attempt — piggybacked payloads may have grown during the backoff — and
-  // `on_delivered` runs exactly once, before returning true. The three
-  // callables are borrowed, not copied: they must outlive the co_await on
-  // the returned task (lambdas written in the call's argument list do).
-  sim::Task<bool> send(HostId from, HostId to, int priority,
-                       FunctionRef<double()> build_bytes,
-                       FunctionRef<void()> on_delivered,
-                       FunctionRef<bool()> cancelled);
+  // Full reliable send of the message `hooks` describes (see SendAwaiter).
+  SendAwaiter send(HostId from, HostId to, int priority, Hooks hooks) {
+    return SendAwaiter(*this, from, to, priority, hooks);
+  }
 
   void set_retry_listener(RetryListener listener) {
     retry_listener_ = listener;

@@ -1,7 +1,7 @@
 // Unit tests for the MessageRouter routing sublayer against
 // MockEngineServices — no Engine, no Network: placement-based resolution,
-// directory-based resolution with stale-forward chasing, the
-// forwarding-disabled hard error, and the fault-mode give-up path.
+// directory-based resolution with stale-forward chasing, a message to a
+// host, the fault-mode give-up path and a failed hop.
 #include <gtest/gtest.h>
 
 #include "core/placement.h"
@@ -16,11 +16,19 @@ namespace {
 
 using testing::MockEngineServices;
 
-sim::Task<> run_route(MessageRouter& router, net::HostId from,
-                      core::OperatorId target, int iteration, double bytes,
-                      int priority, net::HostId& out) {
-  out = co_await router.route_to_operator(from, target, iteration, bytes,
-                                          priority);
+// Drives a chase the way Engine::Route does, with the mock's hops as the
+// legs: make the hop the chase names, hand its outcome to advance(), and
+// repeat until the way is over.
+sim::Task<> run_route(MessageRouter& router, EngineServices& services,
+                      net::HostId from, core::OperatorId target,
+                      int iteration, double bytes, int priority,
+                      net::HostId& out) {
+  MessageRouter::Chase chase = router.to_operator(from, target, iteration);
+  bool delivered = false;
+  do {
+    delivered = co_await services.hop(chase.at, chase.next, bytes, priority);
+  } while (!router.advance(chase, delivered));
+  out = chase.at;
 }
 
 struct Fixture {
@@ -79,8 +87,9 @@ TEST(MessageRouter, PlacementRouteIsSingleHopAndAuthoritative) {
   mock.set_operator_location(1, f.tree.server_host(0));
 
   net::HostId delivered = net::kInvalidHost;
-  f.sim.spawn(run_route(router, f.tree.client_host(), 1, /*iteration=*/0,
-                        /*bytes=*/512.0, /*priority=*/7, delivered));
+  f.sim.spawn(run_route(router, mock, f.tree.client_host(), 1,
+                        /*iteration=*/0, /*bytes=*/512.0,
+                        /*priority=*/7, delivered));
   f.sim.run();
 
   EXPECT_EQ(delivered, f.tree.server_host(2));
@@ -109,8 +118,9 @@ TEST(MessageRouter, DirectoryRouteForwardsFromStaleLocation) {
   mock.set_operator_location(2, f.tree.server_host(1));
 
   net::HostId delivered = net::kInvalidHost;
-  f.sim.spawn(run_route(router, f.tree.server_host(3), 2, /*iteration=*/0,
-                        /*bytes=*/64.0, /*priority=*/1, delivered));
+  f.sim.spawn(run_route(router, mock, f.tree.server_host(3), 2,
+                        /*iteration=*/0, /*bytes=*/64.0,
+                        /*priority=*/1, delivered));
   f.sim.run();
 
   EXPECT_EQ(delivered, f.tree.server_host(1));
@@ -134,12 +144,33 @@ TEST(MessageRouter, FreshDirectoryEntryNeedsNoForward) {
       .record_move(2, f.tree.server_host(1));
 
   net::HostId delivered = net::kInvalidHost;
-  f.sim.spawn(run_route(router, f.tree.server_host(3), 2, /*iteration=*/0,
-                        /*bytes=*/64.0, /*priority=*/1, delivered));
+  f.sim.spawn(run_route(router, mock, f.tree.server_host(3), 2,
+                        /*iteration=*/0, /*bytes=*/64.0,
+                        /*priority=*/1, delivered));
   f.sim.run();
 
   EXPECT_EQ(delivered, f.tree.server_host(1));
   EXPECT_EQ(mock.hops().size(), 1u);
+  EXPECT_EQ(mock.stats_.messages_forwarded, 0);
+}
+
+TEST(MessageRouter, HostMessageArrivesWithItsOneHop) {
+  Fixture f;
+  MockEngineServices mock(f.sim, f.tree, EngineParams{});
+  const core::Placement none = core::Placement::all_at_client(f.tree);
+  MessageRouter router(mock, /*uses_directory=*/true,
+                       [&](int) -> const core::Placement& { return none; });
+  // A host never moves: no location lookup, no forward, whatever the
+  // directories say about operators.
+  MessageRouter::Chase chase =
+      MessageRouter::to_host(f.tree.server_host(1), f.tree.client_host());
+  EXPECT_TRUE(router.advance(chase, /*delivered=*/true));
+  EXPECT_EQ(chase.at, f.tree.client_host());
+
+  MessageRouter::Chase lost =
+      MessageRouter::to_host(f.tree.server_host(1), f.tree.client_host());
+  EXPECT_TRUE(router.advance(lost, /*delivered=*/false));
+  EXPECT_EQ(lost.at, net::kInvalidHost);
   EXPECT_EQ(mock.stats_.messages_forwarded, 0);
 }
 
@@ -172,8 +203,9 @@ TEST(MessageRouter, FaultModeGivesUpChasingMovingOperator) {
   mock.set_faults_active(true);
 
   net::HostId delivered = 0;
-  f.sim.spawn(run_route(router, f.tree.client_host(), 0, /*iteration=*/0,
-                        /*bytes=*/1.0, /*priority=*/0, delivered));
+  f.sim.spawn(run_route(router, mock, f.tree.client_host(), 0,
+                        /*iteration=*/0, /*bytes=*/1.0,
+                        /*priority=*/0, delivered));
   f.sim.run();
 
   EXPECT_EQ(delivered, net::kInvalidHost);
@@ -203,8 +235,9 @@ TEST(MessageRouter, FailedHopReturnsInvalidHost) {
                        [&](int) -> const core::Placement& { return none; });
 
   net::HostId delivered = 0;
-  f.sim.spawn(run_route(router, f.tree.server_host(1), 0, /*iteration=*/0,
-                        /*bytes=*/1.0, /*priority=*/0, delivered));
+  f.sim.spawn(run_route(router, mock, f.tree.server_host(1), 0,
+                        /*iteration=*/0, /*bytes=*/1.0,
+                        /*priority=*/0, delivered));
   f.sim.run();
 
   EXPECT_EQ(delivered, net::kInvalidHost);

@@ -34,8 +34,10 @@ struct Message {
 sim::Task<> send(ReliableChannel& channel, HostId from, HostId to,
                  Message& message, std::optional<bool>& result) {
   result = co_await channel.send(
-      from, to, kDataPriority, [&] { return message.build(); },
-      [&] { ++message.deliveries; }, [&] { return message.cancel; });
+      from, to, kDataPriority,
+      {[](void* m) { return static_cast<Message*>(m)->build(); },
+       [](void* m) { ++static_cast<Message*>(m)->deliveries; },
+       [](void* m) { return static_cast<Message*>(m)->cancel; }, &message});
 }
 
 struct Retry {
