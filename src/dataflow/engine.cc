@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/assert.h"
+#include "dataflow/engine_awaiters.h"
 
 namespace wadc::dataflow {
 

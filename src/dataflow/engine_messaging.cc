@@ -1,13 +1,14 @@
 // Engine messaging: the routing sublayer between the actors (engine.cc)
 // and the reliable transport (net/reliable_transfer.h). The MessageRouter
 // (engine_messaging.h) decides each hop of a message through the
-// EngineServices seam; the engine's awaiters here (Hop, Route, Post; see
-// engine.h) make those hops with the per-hop piggyback payloads and
-// deliver into mailboxes, without a coroutine frame.
-#include "dataflow/engine.h"
+// EngineServices seam; the engine's awaiters here (Hop, Route, Post;
+// declared in engine_awaiters.h) make those hops with the per-hop
+// piggyback payloads and deliver into mailboxes, without a coroutine
+// frame.
 #include "dataflow/engine_messaging.h"
 
 #include "common/assert.h"
+#include "dataflow/engine_awaiters.h"
 
 namespace wadc::dataflow {
 
@@ -79,9 +80,6 @@ bool Engine::Hop::start(sim::Continuation done) {
 void Engine::Hop::rearm(net::HostId from, net::HostId to) {
   from_ = from;
   to_ = to;
-  // The previous leg's payload and snapshot are done with.
-  payload_ = {};
-  directory_snapshot_.reset();
   send_.rearm(from, to);
 }
 

@@ -190,13 +190,11 @@ void Network::TransferAwaiter::rearm(HostId src, HostId dst, double bytes,
   WADC_ASSERT(dst >= 0 && dst < network_.num_hosts(), "bad dst host");
   WADC_ASSERT(bytes >= 0, "negative transfer size");
   WADC_ASSERT(timeout_seconds > 0, "non-positive transfer timeout");
-  TransferRecord record;
-  record.src = src;
-  record.dst = dst;
-  record.bytes = bytes;
-  record.priority = record_.priority;
-  record.session = record_.session;
-  record_ = record;
+  record_ = TransferRecord{.src = src,
+                           .dst = dst,
+                           .bytes = bytes,
+                           .priority = record_.priority,
+                           .session = record_.session};
   timeout_seconds_ = timeout_seconds;
 }
 

@@ -42,15 +42,15 @@ struct Fixture {
 TEST(AdaptationPolicyRegistry, TraitsPerAlgorithm) {
   struct Expect {
     core::AlgorithmKind kind;
-    bool directory, barrier, order;
+    bool directory, barrier, order, window;
   };
   const Expect table[] = {
-      {core::AlgorithmKind::kDownloadAll, false, false, false},
-      {core::AlgorithmKind::kOneShot, false, false, false},
-      {core::AlgorithmKind::kGlobal, false, true, false},
-      {core::AlgorithmKind::kLocal, true, false, false},
-      {core::AlgorithmKind::kGlobalOrder, false, true, true},
-      {core::AlgorithmKind::kReorderOnly, false, true, true},
+      {core::AlgorithmKind::kDownloadAll, false, false, false, false},
+      {core::AlgorithmKind::kOneShot, false, false, false, false},
+      {core::AlgorithmKind::kGlobal, false, true, false, false},
+      {core::AlgorithmKind::kLocal, true, false, false, true},
+      {core::AlgorithmKind::kGlobalOrder, false, true, true, false},
+      {core::AlgorithmKind::kReorderOnly, false, true, true, false},
   };
   for (const Expect& e : table) {
     const auto policy = make_adaptation_policy(e.kind);
@@ -58,6 +58,9 @@ TEST(AdaptationPolicyRegistry, TraitsPerAlgorithm) {
     EXPECT_EQ(policy->uses_directory(), e.directory);
     EXPECT_EQ(policy->uses_barrier(), e.barrier);
     EXPECT_EQ(policy->adapts_order(), e.order);
+    // Only the local algorithm acts in the per-operator relocation window
+    // (§2.3); the engine skips awaiting it for every other policy.
+    EXPECT_EQ(policy->acts_in_window(), e.window);
   }
 }
 
