@@ -4,10 +4,10 @@
 // location/timestamp vectors can lag the truth).
 //
 // The router only decides; it never awaits. A message's way is a Chase:
-// the engine's route awaiter (Engine::Route, engine.h) makes each hop the
-// chase names and hands the outcome back to advance(), which says whether
-// the message has arrived, must be forwarded, or is given up. Extracted
-// behind EngineServices so routing is unit-testable against
+// the engine's route awaiter (Engine::Route, engine_awaiters.h) makes each
+// hop the chase names and hands the outcome back to advance(), which says
+// whether the message has arrived, must be forwarded, or is given up.
+// Extracted behind EngineServices so routing is unit-testable against
 // MockEngineServices without constructing a full Engine (see
 // tests/engine_messaging_test.cc).
 #pragma once
