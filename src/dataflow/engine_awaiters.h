@@ -65,7 +65,7 @@ class Engine::Route {
  public:
   Route(Engine& engine, const MessageRouter::Chase& chase, double bytes,
         int priority)
-      : engine_(engine),
+      : router_(engine.router_),
         chase_(chase),
         hop_(engine, chase.at, chase.next, bytes, priority) {}
   Route(const Route&) = delete;
@@ -88,7 +88,7 @@ class Engine::Route {
   // The in-flight leg's completion target.
   void on_leg();
 
-  Engine& engine_;
+  MessageRouter& router_;
   MessageRouter::Chase chase_;
   Hop hop_;
   sim::Continuation done_;

@@ -39,15 +39,16 @@ bool MessageRouter::advance(Chase& chase, bool delivered) {
   // The local algorithm can be stale; the old host forwards (it performed
   // the move, so it knows the new location).
   if (chase.at == services_.operator_location(chase.target)) return true;
+  ++chase.forwards;
   if (services_.faults_active()) {
     // Repair can move an operator several times while a message chases
     // it; give up (and let the caller re-resolve) rather than assert.
-    if (++chase.forwards > 8 + services_.base_tree().num_hosts()) {
+    if (chase.forwards > 8 + services_.base_tree().num_hosts()) {
       chase.at = net::kInvalidHost;
       return true;
     }
   } else {
-    WADC_ASSERT(++chase.forwards <= 8, "operator forwarding chain too long");
+    WADC_ASSERT(chase.forwards <= 8, "operator forwarding chain too long");
   }
   chase.next = services_.operator_location(chase.target);
   if (obs::Tracer* tracer = services_.observability().tracer) {
@@ -132,13 +133,13 @@ bool Engine::Route::run() {
     if (!hop_.start(sim::Continuation::member<Route, &Route::on_leg>(this))) {
       return false;
     }
-    if (engine_.router_.advance(chase_, hop_.delivered())) return true;
+    if (router_.advance(chase_, hop_.delivered())) return true;
     hop_.rearm(chase_.at, chase_.next);
   }
 }
 
 void Engine::Route::on_leg() {
-  if (!engine_.router_.advance(chase_, hop_.delivered())) {
+  if (!router_.advance(chase_, hop_.delivered())) {
     hop_.rearm(chase_.at, chase_.next);
     if (!run()) return;
   }
