@@ -11,6 +11,11 @@
 // to the JSON (default BENCH_ext_cache_reuse.json, deterministic for any
 // --jobs value); CI regresses against them.
 //
+// The lru and cost modes run at two per-host capacities. 256 MiB holds
+// every result and never evicts, so there the two policies cannot differ;
+// 8 MiB is smaller than the working set, so the eviction policy decides
+// what stays cached (modes lru-8m and cost-8m).
+//
 // Arrivals are staggered at ~40% of the measured unloaded response time,
 // so sessions overlap (contending for links) while later arrivals find a
 // warm cache — the cross-session reuse scenario, not a cold-start race.
@@ -19,12 +24,14 @@
 // invalidation under crashes included). Environment knobs: WADC_CONFIGS,
 // WADC_SEED.
 #include <cstdio>
-#include <cstring>
 #include <exception>
+#include <iomanip>
+#include <ostream>
 #include <string>
 #include <vector>
 
 #include "cache/cache_config.h"
+#include "common/output_file.h"
 #include "common/parse.h"
 #include "exp/bench_support.h"
 #include "exp/experiment.h"
@@ -42,6 +49,7 @@ struct ModeUnderTest {
   const char* name;
   bool enabled;
   wadc::cache::EvictionPolicy policy;
+  std::uint64_t capacity_bytes;  // per host
 };
 
 // Per-(mode, fleet) aggregates over the configurations.
@@ -60,26 +68,14 @@ int main(int argc, char** argv) {
 
   std::string fault_spec_path;
   std::string curves_out = "BENCH_ext_cache_reuse.json";
-  std::vector<char*> passthrough = {argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    if (auto v = flag_value(argv[i], "--fault-spec")) {
-      fault_spec_path = *v;
-    } else if (auto vo = flag_value(argv[i], "--out")) {
-      curves_out = *vo;
-    } else {
-      if (std::strcmp(argv[i], "--help") == 0) {
-        std::fprintf(stderr,
-                     "ext_cache_reuse extras:\n"
-                     "  --out=FILE         reuse-sweep JSON "
-                     "(default BENCH_ext_cache_reuse.json)\n"
-                     "  --fault-spec=FILE  compose a fault schedule into "
-                     "every run (docs/FAULTS.md)\n");
-      }
-      passthrough.push_back(argv[i]);
-    }
-  }
-  exp::BenchHarness bench(static_cast<int>(passthrough.size()),
-                          passthrough.data(), "ext_cache_reuse");
+  exp::BenchHarness bench(
+      argc, argv, "ext_cache_reuse",
+      {{path_flag("--out", curves_out),
+        "  --out=FILE         reuse-sweep JSON (default "
+        "BENCH_ext_cache_reuse.json)"},
+       {path_flag("--fault-spec", fault_spec_path),
+        "  --fault-spec=FILE  compose a fault schedule into every run "
+        "(docs/FAULTS.md)"}});
 
   fault::FaultSpec fault;
   if (!fault_spec_path.empty()) {
@@ -95,12 +91,15 @@ int main(int argc, char** argv) {
   const int configs = exp::env_configs(4);
   const std::uint64_t base_seed = exp::env_seed(1000);
   const int jobs = exp::resolve_jobs(bench.jobs());
-  constexpr std::uint64_t kCapacityBytes = 256ull << 20;  // per host
+  constexpr std::uint64_t kCapacityBytes = 256ull << 20;  // never evicts
+  constexpr std::uint64_t kPressureBytes = 8ull << 20;    // evicts
 
   const std::vector<ModeUnderTest> modes = {
-      {"off", false, cache::EvictionPolicy::kLru},
-      {"lru", true, cache::EvictionPolicy::kLru},
-      {"cost", true, cache::EvictionPolicy::kCost},
+      {"off", false, cache::EvictionPolicy::kLru, 0},
+      {"lru", true, cache::EvictionPolicy::kLru, kCapacityBytes},
+      {"cost", true, cache::EvictionPolicy::kCost, kCapacityBytes},
+      {"lru-8m", true, cache::EvictionPolicy::kLru, kPressureBytes},
+      {"cost-8m", true, cache::EvictionPolicy::kCost, kPressureBytes},
   };
   const std::vector<int> fleets = {1, 4, 8};
   const int num_modes = static_cast<int>(modes.size());
@@ -115,7 +114,7 @@ int main(int argc, char** argv) {
     spec.config_seed = base_seed + static_cast<std::uint64_t>(c);
     spec.fault = fault;
     spec.cache.enabled = mode.enabled;
-    spec.cache.capacity_bytes = mode.enabled ? kCapacityBytes : 0;
+    spec.cache.capacity_bytes = mode.capacity_bytes;
     spec.cache.policy = mode.policy;
     return spec;
   };
@@ -235,52 +234,56 @@ int main(int argc, char** argv) {
               "hit ratio %.1f%%\n",
               fleets[static_cast<std::size_t>(deep)], speedup,
               100.0 * bytes_reduction, 100.0 * lru8.hit_ratio);
+  // Under eviction pressure the policy decides: cost against lru.
+  const Cell& lru_small = cells[3][static_cast<std::size_t>(deep)];
+  const Cell& cost_small = cells[4][static_cast<std::size_t>(deep)];
+  std::printf("at %d overlapping sessions with 8 MiB per host: cost %.4f "
+              "images/s, lru %.4f images/s (%.2fx)\n",
+              fleets[static_cast<std::size_t>(deep)],
+              cost_small.aggregate_throughput, lru_small.aggregate_throughput,
+              cost_small.aggregate_throughput /
+                  lru_small.aggregate_throughput);
 
   // ---- the deterministic reuse-sweep JSON -------------------------------
-  if (std::FILE* f = std::fopen(curves_out.c_str(), "w")) {
-    std::fprintf(f, "{\n  \"name\": \"ext_cache_reuse\",\n");
-    std::fprintf(f, "  \"configs\": %d,\n", configs);
-    std::fprintf(f, "  \"capacity_bytes\": %llu,\n",
-                 static_cast<unsigned long long>(kCapacityBytes));
-    std::fprintf(f, "  \"fault_spec\": \"%s\",\n", fault_spec_path.c_str());
-    std::fprintf(f,
-                 "  \"unloaded_mean_response_seconds\": %.6f,\n"
-                 "  \"arrival_stagger_seconds\": %.6f,\n",
-                 unloaded_mean, stagger);
-    std::fprintf(f, "  \"speedup_at_%d_sessions\": %.6f,\n",
-                 fleets[static_cast<std::size_t>(deep)], speedup);
-    std::fprintf(f, "  \"bytes_reduction_at_%d_sessions\": %.6f,\n",
-                 fleets[static_cast<std::size_t>(deep)], bytes_reduction);
-    std::fprintf(f, "  \"modes\": [\n");
-    for (int m = 0; m < num_modes; ++m) {
-      std::fprintf(f, "    {\"mode\": \"%s\", \"cells\": [\n",
-                   modes[static_cast<std::size_t>(m)].name);
-      for (int k = 0; k < num_fleets; ++k) {
-        const Cell& cell =
-            cells[static_cast<std::size_t>(m)][static_cast<std::size_t>(k)];
-        std::fprintf(f,
-                     "      {\"sessions\": %d, "
-                     "\"aggregate_throughput\": %.6f, "
-                     "\"mean_response_seconds\": %.6f, "
-                     "\"network_bytes\": %.6f, "
-                     "\"hit_ratio\": %.6f, "
-                     "\"bytes_saved\": %.6f}%s\n",
-                     fleets[static_cast<std::size_t>(k)],
-                     cell.aggregate_throughput, cell.mean_response_seconds,
-                     cell.network_bytes, cell.hit_ratio, cell.bytes_saved,
-                     k + 1 < num_fleets ? "," : "");
+  try {
+    write_file(curves_out, [&](std::ostream& f) {
+      f << std::fixed << std::setprecision(6);
+      f << "{\n  \"name\": \"ext_cache_reuse\",\n";
+      f << "  \"configs\": " << configs << ",\n";
+      f << "  \"capacity_bytes\": " << kCapacityBytes << ",\n";
+      f << "  \"fault_spec\": \"" << fault_spec_path << "\",\n";
+      f << "  \"unloaded_mean_response_seconds\": " << unloaded_mean << ",\n"
+        << "  \"arrival_stagger_seconds\": " << stagger << ",\n";
+      f << "  \"speedup_at_" << fleets[static_cast<std::size_t>(deep)]
+        << "_sessions\": " << speedup << ",\n";
+      f << "  \"bytes_reduction_at_" << fleets[static_cast<std::size_t>(deep)]
+        << "_sessions\": " << bytes_reduction << ",\n";
+      f << "  \"modes\": [\n";
+      for (int m = 0; m < num_modes; ++m) {
+        const ModeUnderTest& mode = modes[static_cast<std::size_t>(m)];
+        f << "    {\"mode\": \"" << mode.name << "\", \"capacity_bytes\": "
+          << mode.capacity_bytes << ", \"cells\": [\n";
+        for (int k = 0; k < num_fleets; ++k) {
+          const Cell& cell =
+              cells[static_cast<std::size_t>(m)][static_cast<std::size_t>(k)];
+          f << "      {\"sessions\": " << fleets[static_cast<std::size_t>(k)]
+            << ", \"aggregate_throughput\": " << cell.aggregate_throughput
+            << ", \"mean_response_seconds\": " << cell.mean_response_seconds
+            << ", \"network_bytes\": " << cell.network_bytes
+            << ", \"hit_ratio\": " << cell.hit_ratio
+            << ", \"bytes_saved\": " << cell.bytes_saved << "}"
+            << (k + 1 < num_fleets ? "," : "") << "\n";
+        }
+        f << "    ]}" << (m + 1 < num_modes ? "," : "") << "\n";
       }
-      std::fprintf(f, "    ]}%s\n", m + 1 < num_modes ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::fprintf(stderr, "[bench] ext_cache_reuse: reuse sweep -> %s\n",
-                 curves_out.c_str());
-  } else {
-    std::fprintf(stderr, "ext_cache_reuse: cannot write %s\n",
-                 curves_out.c_str());
+      f << "  ]\n}\n";
+    });
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "ext_cache_reuse: %s\n", e.what());
     return 2;
   }
+  std::fprintf(stderr, "[bench] ext_cache_reuse: reuse sweep -> %s\n",
+               curves_out.c_str());
 
   return bench.finish(jobs);
 }

@@ -21,11 +21,13 @@
 // environment knobs for short CI ramps: WADC_CAPACITY_SESSIONS (arrivals
 // per run), WADC_CAPACITY_STEPS (ramp steps).
 #include <cstdio>
-#include <cstring>
 #include <exception>
+#include <iomanip>
+#include <ostream>
 #include <string>
 #include <vector>
 
+#include "common/output_file.h"
 #include "common/parse.h"
 #include "exp/bench_support.h"
 #include "exp/experiment.h"
@@ -60,32 +62,16 @@ struct CurvePoint {
 int main(int argc, char** argv) {
   using namespace wadc;
 
-  // Peel off the flags parse_bench_options does not know about; everything
-  // else (--jobs/--bench-out/--profile-out/--help) passes through.
   std::string fault_spec_path;
   std::string curves_out = "BENCH_ext_capacity.json";
-  std::vector<char*> passthrough = {argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    if (auto v = flag_value(argv[i], "--fault-spec")) {
-      fault_spec_path = *v;
-    } else if (auto vo = flag_value(argv[i], "--out")) {
-      curves_out = *vo;
-    } else {
-      if (std::strcmp(argv[i], "--help") == 0) {
-        std::fprintf(stderr,
-                     "ext_capacity extras:\n"
-                     "  --out=FILE         saturation-curve JSON "
-                     "(default BENCH_ext_capacity.json)\n"
-                     "  --fault-spec=FILE  compose a fault schedule into "
-                     "every run (docs/FAULTS.md)\n"
-                     "environment: WADC_CAPACITY_SESSIONS, "
-                     "WADC_CAPACITY_STEPS\n");
-      }
-      passthrough.push_back(argv[i]);
-    }
-  }
-  exp::BenchHarness bench(static_cast<int>(passthrough.size()),
-                          passthrough.data(), "ext_capacity");
+  exp::BenchHarness bench(
+      argc, argv, "ext_capacity",
+      {{path_flag("--out", curves_out),
+        "  --out=FILE         saturation-curve JSON (default "
+        "BENCH_ext_capacity.json)"},
+       {path_flag("--fault-spec", fault_spec_path),
+        "  --fault-spec=FILE  compose a fault schedule into every run "
+        "(docs/FAULTS.md)"}});
 
   fault::FaultSpec fault;
   if (!fault_spec_path.empty()) {
@@ -286,46 +272,41 @@ int main(int argc, char** argv) {
   }
 
   // ---- the deterministic saturation-curve JSON --------------------------
-  if (std::FILE* f = std::fopen(curves_out.c_str(), "w")) {
-    std::fprintf(f, "{\n  \"name\": \"ext_capacity\",\n");
-    std::fprintf(f, "  \"configs\": %d,\n  \"sessions_per_run\": %d,\n",
-                 configs, sessions);
-    std::fprintf(f, "  \"fault_spec\": \"%s\",\n", fault_spec_path.c_str());
-    std::fprintf(f,
-                 "  \"unloaded_mean_response_seconds\": %.6f,\n"
-                 "  \"unloaded_p95_response_seconds\": %.6f,\n"
-                 "  \"saturation_rate_per_hour\": %.6f,\n",
-                 unloaded_mean, unloaded_p95, saturation_rate);
-    std::fprintf(f, "  \"policies\": [\n");
-    for (int p = 0; p < num_policies; ++p) {
-      std::fprintf(f, "    {\"policy\": \"%s\", \"curve\": [\n",
-                   policies[static_cast<std::size_t>(p)].name);
-      for (int k = 0; k < steps; ++k) {
-        const CurvePoint& pt = curves[static_cast<std::size_t>(p)][
-            static_cast<std::size_t>(k)];
-        std::fprintf(f,
-                     "      {\"rate_per_hour\": %.6f, "
-                     "\"goodput_per_hour\": %.6f, "
-                     "\"p95_response_seconds\": %.6f, "
-                     "\"shed_fraction\": %.6f, "
-                     "\"deferred_fraction\": %.6f, "
-                     "\"degraded_fraction\": %.6f}%s\n",
-                     pt.rate_per_hour, pt.goodput_per_hour,
-                     pt.p95_response_seconds, pt.shed_fraction,
-                     pt.deferred_fraction, pt.degraded_fraction,
-                     k + 1 < steps ? "," : "");
+  try {
+    write_file(curves_out, [&](std::ostream& f) {
+      f << std::fixed << std::setprecision(6);
+      f << "{\n  \"name\": \"ext_capacity\",\n";
+      f << "  \"configs\": " << configs << ",\n  \"sessions_per_run\": "
+        << sessions << ",\n";
+      f << "  \"fault_spec\": \"" << fault_spec_path << "\",\n";
+      f << "  \"unloaded_mean_response_seconds\": " << unloaded_mean << ",\n"
+        << "  \"unloaded_p95_response_seconds\": " << unloaded_p95 << ",\n"
+        << "  \"saturation_rate_per_hour\": " << saturation_rate << ",\n";
+      f << "  \"policies\": [\n";
+      for (int p = 0; p < num_policies; ++p) {
+        f << "    {\"policy\": \"" << policies[static_cast<std::size_t>(p)].name
+          << "\", \"curve\": [\n";
+        for (int k = 0; k < steps; ++k) {
+          const CurvePoint& pt = curves[static_cast<std::size_t>(p)][
+              static_cast<std::size_t>(k)];
+          f << "      {\"rate_per_hour\": " << pt.rate_per_hour
+            << ", \"goodput_per_hour\": " << pt.goodput_per_hour
+            << ", \"p95_response_seconds\": " << pt.p95_response_seconds
+            << ", \"shed_fraction\": " << pt.shed_fraction
+            << ", \"deferred_fraction\": " << pt.deferred_fraction
+            << ", \"degraded_fraction\": " << pt.degraded_fraction << "}"
+            << (k + 1 < steps ? "," : "") << "\n";
+        }
+        f << "    ]}" << (p + 1 < num_policies ? "," : "") << "\n";
       }
-      std::fprintf(f, "    ]}%s\n", p + 1 < num_policies ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::fprintf(stderr, "[bench] ext_capacity: saturation curves -> %s\n",
-                 curves_out.c_str());
-  } else {
-    std::fprintf(stderr, "ext_capacity: cannot write %s\n",
-                 curves_out.c_str());
+      f << "  ]\n}\n";
+    });
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "ext_capacity: %s\n", e.what());
     return 2;
   }
+  std::fprintf(stderr, "[bench] ext_capacity: saturation curves -> %s\n",
+               curves_out.c_str());
 
   return bench.finish(jobs);
 }

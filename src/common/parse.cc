@@ -1,10 +1,10 @@
 #include "common/parse.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -49,14 +49,6 @@ std::optional<T> env_number(const char* name, T min) {
 template std::optional<int> env_number<int>(const char*, int);
 template std::optional<std::uint64_t> env_number<std::uint64_t>(
     const char*, std::uint64_t);
-
-std::optional<std::string> flag_value(const char* arg, const char* name) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-    return std::string(arg + len + 1);
-  }
-  return std::nullopt;
-}
 
 void spec_error(const std::string& spec, int line_no, const std::string& why) {
   throw std::runtime_error(spec + " line " + std::to_string(line_no) + ": " +
@@ -108,6 +100,69 @@ std::string read_spec_file(const std::string& spec, const std::string& path) {
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
+}
+
+template <typename T>
+Flag number_flag(std::string name, T& out,
+                 std::type_identity_t<std::optional<T>> min) {
+  std::ostringstream want;
+  want << (std::is_floating_point_v<T> ? "a number"
+           : std::is_signed_v<T>       ? "an integer"
+                                       : "a non-negative integer");
+  if (min) want << " >= " << *min;
+  return parsed_flag(
+      std::move(name), out,
+      [min](std::string_view text) {
+        const std::optional<T> value = parse_number<T>(text);
+        return value && min && *value < *min ? std::nullopt : value;
+      },
+      want.str());
+}
+
+template Flag number_flag<int>(std::string, int&, std::optional<int>);
+template Flag number_flag<std::uint64_t>(std::string, std::uint64_t&,
+                                         std::optional<std::uint64_t>);
+template Flag number_flag<double>(std::string, double&,
+                                  std::optional<double>);
+
+Flag path_flag(std::string name, std::string& out, std::string want) {
+  return parsed_flag(
+      std::move(name), out,
+      [](std::string_view text) {
+        return text.empty() ? std::nullopt
+                            : std::optional<std::string>(text);
+      },
+      std::move(want));
+}
+
+Flag switch_flag(std::string name, bool& out, bool value) {
+  return {std::move(name), false, {}, [&out, value](std::string_view) {
+            out = value;
+            return true;
+          }};
+}
+
+FlagsRead read_flags(const std::vector<std::string_view>& args,
+                     const std::vector<Flag>& flags) {
+  for (const std::string_view arg : args) {
+    if (arg == "--help" || arg == "-h") return {true, {}};
+    const std::size_t eq = arg.find('=');
+    const bool has_value = eq != std::string_view::npos;
+    const std::string_view name = arg.substr(0, eq);
+    const auto flag =
+        std::find_if(flags.begin(), flags.end(), [&](const Flag& f) {
+          return f.name == name && f.takes_value == has_value;
+        });
+    if (flag == flags.end()) {
+      return {false, "unknown option '" + std::string(arg) + "'"};
+    }
+    const std::string_view value = has_value ? arg.substr(eq + 1) : "";
+    if (!flag->store(value)) {
+      return {false, "invalid value for " + flag->name + ": '" +
+                         std::string(value) + "' (want " + flag->want + ")"};
+    }
+  }
+  return {};
 }
 
 }  // namespace wadc

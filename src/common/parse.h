@@ -9,6 +9,8 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace wadc {
@@ -26,9 +28,6 @@ std::optional<T> parse_number(std::string_view text);
 // exits 2.
 template <typename T>
 std::optional<T> env_number(const char* name, T min);
-
-// The value of command-line argument `arg` when it is `name=value`.
-std::optional<std::string> flag_value(const char* arg, const char* name);
 
 // Throws std::runtime_error("<spec> line <line_no>: <why>").
 [[noreturn]] void spec_error(const std::string& spec, int line_no,
@@ -114,5 +113,81 @@ int for_each_spec_line(const std::string& spec, const std::string& text,
 // The contents of the spec file at `path`; throws std::runtime_error
 // ("cannot open <spec>: <path>") when it cannot be opened.
 std::string read_spec_file(const std::string& spec, const std::string& path);
+
+// ---- command-line flags ----------------------------------------------------
+
+// One entry of a binary's flag table: `--name=VALUE` stored into a
+// destination, or a bare `--name` switch. Built by the *_flag functions
+// below and applied to the command line by read_flags.
+struct Flag {
+  std::string name;  // with its leading "--"
+  bool takes_value = true;
+  std::string want;  // what a valid value looks like, for the error line
+  // Stores VALUE (empty for a switch); false when VALUE is malformed.
+  std::function<bool(std::string_view)> store;
+};
+
+// --name=VALUE read by `parse`, the function that owns the value's grammar:
+// it returns a std::optional, nullopt when VALUE is malformed. `want`
+// describes a valid value.
+template <typename Out, typename Parse>
+Flag parsed_flag(std::string name, Out& out, Parse parse, std::string want) {
+  return {std::move(name), true, std::move(want),
+          [&out, parse](std::string_view text) {
+            auto value = parse(text);
+            if (!value) return false;
+            out = std::move(*value);
+            return true;
+          }};
+}
+
+// --name=N: a parse_number<T> (int, std::uint64_t or double), no smaller
+// than `min` when one is given.
+template <typename T>
+Flag number_flag(std::string name, T& out,
+                 std::type_identity_t<std::optional<T>> min = std::nullopt);
+
+// --name=TEXT: any non-empty string, such as a file path.
+Flag path_flag(std::string name, std::string& out,
+               std::string want = "a file path");
+
+// --name=WORD: one of `choices`, each a spelling and the value it stands
+// for.
+template <typename T>
+Flag choice_flag(std::string name, T& out,
+                 std::vector<std::pair<std::string_view, T>> choices) {
+  std::string want;
+  for (std::size_t i = 0; i < choices.size(); ++i) {
+    if (i > 0) want += i + 1 == choices.size() ? " or " : ", ";
+    want += choices[i].first;
+  }
+  return parsed_flag(
+      std::move(name), out,
+      [choices = std::move(choices)](std::string_view text) {
+        for (const auto& [spelling, value] : choices) {
+          if (text == spelling) return std::optional<T>(value);
+        }
+        return std::optional<T>();
+      },
+      std::move(want));
+}
+
+// Bare --name: sets `out` to `value`.
+Flag switch_flag(std::string name, bool& out, bool value = true);
+
+// What read_flags found on the command line.
+struct FlagsRead {
+  bool help = false;  // --help or -h came before any error
+  // One line naming the offending argument and quoting its value; empty
+  // when every argument was read.
+  std::string error;
+};
+
+// Applies `flags` to `args`, left to right, so the last occurrence of a
+// flag wins. Only `--name=VALUE` and bare switches are read: an argument
+// no flag matches, a switch given a value and a value flag given none are
+// unknown options. Stops at --help or -h, or at the first error.
+FlagsRead read_flags(const std::vector<std::string_view>& args,
+                     const std::vector<Flag>& flags);
 
 }  // namespace wadc

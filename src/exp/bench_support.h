@@ -6,24 +6,12 @@
 #include <chrono>
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "common/parse.h"
 #include "obs/profiler.h"
 
 namespace wadc::exp {
-
-struct BenchOptions {
-  // Worker-count request passed to SweepSpec::jobs / resolve_jobs():
-  // 0 = default (WADC_JOBS if set, else serial). --jobs=0 on the command
-  // line resolves to all hardware threads at parse time.
-  int jobs = 0;
-  std::string bench_out;    // optional JSON perf-report path
-  std::string profile_out;  // optional wall-clock profiler JSON path
-};
-
-// Parses --jobs=N, --bench-out=FILE, and --profile-out=FILE; --help prints
-// usage and exits 0; unknown flags and malformed values are fatal (exit 2).
-// `name` labels the usage text and perf reports.
-BenchOptions parse_bench_options(int argc, char** argv, const char* name);
 
 class WallTimer {
  public:
@@ -67,9 +55,15 @@ void print_bench_report(const BenchReport& report);
 //  "runs_per_second": ...}
 void write_bench_json_file(const BenchReport& report, const std::string& path);
 
-// The whole main() scaffold every bench binary shares: parses the command
-// line (exiting on --help / bad flags), starts the wall timer, accumulates
-// the simulated-run count, and emits the report in finish(). Typical use:
+// A bench binary's own flag and its line in the --help text.
+struct BenchFlag {
+  Flag flag;
+  const char* help;  // "  --out=FILE         what it writes"
+};
+
+// The whole main() scaffold every bench binary shares: reads the command
+// line, starts the wall timer, accumulates the simulated-run count, and
+// emits the report in finish(). Typical use:
 //
 //   exp::BenchHarness bench(argc, argv, "fig8_server_scaling");
 //   sweep.jobs = bench.jobs();
@@ -77,14 +71,20 @@ void write_bench_json_file(const BenchReport& report, const std::string& path);
 //   return bench.finish();
 class BenchHarness {
  public:
-  BenchHarness(int argc, char** argv, const char* name);
+  // Reads --jobs=N, --bench-out=FILE, --profile-out=FILE and the binary's
+  // `extra` flags. --help prints usage and exits 0; an unknown flag or a
+  // malformed value prints one line naming it and exits 2. `name` labels
+  // the usage text and perf reports.
+  BenchHarness(int argc, char** argv, const char* name,
+               std::vector<BenchFlag> extra = {});
 
   BenchHarness(const BenchHarness&) = delete;
   BenchHarness& operator=(const BenchHarness&) = delete;
 
-  const BenchOptions& options() const { return options_; }
-  // Worker-count request for SweepSpec::jobs / resolve_jobs().
-  int jobs() const { return options_.jobs; }
+  // Worker-count request for SweepSpec::jobs / resolve_jobs(): 0 = default
+  // (WADC_JOBS if set, else serial); --jobs=0 resolves to all hardware
+  // threads when it is read.
+  int jobs() const { return jobs_; }
 
   // Non-null iff --profile-out was given; hand to SweepSpec::profiler so
   // the sweep runner records per-phase/per-worker wall-clock breakdowns.
@@ -100,7 +100,9 @@ class BenchHarness {
 
  private:
   std::string name_;
-  BenchOptions options_;
+  int jobs_ = 0;
+  std::string bench_out_;    // optional JSON perf-report path
+  std::string profile_out_;  // optional wall-clock profiler JSON path
   std::unique_ptr<obs::Profiler> profiler_;  // null unless --profile-out
   WallTimer timer_;
   long long runs_ = 0;

@@ -126,7 +126,9 @@ struct RunResult {
 //   - the Simulation / LinkTable / Network kernel objects, reset() (not
 //     reconstructed) per run so their container capacity carries over.
 // A run through a warm RunContext is byte-identical to a run through a
-// fresh one — the golden harness pins this at jobs 1 and 4.
+// fresh one: exp_test's RunContext.WarmRunsMatchFreshRuns pins this for
+// every algorithm, with and without faults and the result cache, on every
+// artifact (run JSON, metrics, trace, decision log, timeline).
 class RunContext {
  public:
   RunContext() = default;

@@ -1,9 +1,8 @@
 #include "exp/export.h"
 
-#include <fstream>
 #include <ostream>
-#include <stdexcept>
 
+#include "common/output_file.h"
 #include "core/algorithm_kind.h"
 #include "exp/experiment.h"
 
@@ -27,12 +26,6 @@ void write_ints(std::ostream& out, const std::vector<int>& xs) {
     out << xs[i];
   }
   out << "]";
-}
-
-std::ofstream open_or_throw(const std::string& path) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open for writing: " + path);
-  return out;
 }
 
 }  // namespace
@@ -89,8 +82,7 @@ void write_run_json(const dataflow::RunStats& stats, std::ostream& out) {
 
 void write_run_json_file(const dataflow::RunStats& stats,
                          const std::string& path) {
-  auto out = open_or_throw(path);
-  write_run_json(stats, out);
+  write_file(path, [&stats](std::ostream& out) { write_run_json(stats, out); });
 }
 
 void write_series_json(const std::vector<AlgorithmSeries>& series,
@@ -115,12 +107,6 @@ void write_series_json(const std::vector<AlgorithmSeries>& series,
     out << "\n  }";
   }
   out << "\n]\n";
-}
-
-void write_series_json_file(const std::vector<AlgorithmSeries>& series,
-                            const std::string& path) {
-  auto out = open_or_throw(path);
-  write_series_json(series, out);
 }
 
 void write_sessions_json(const session::SessionStats& stats,
@@ -174,8 +160,8 @@ void write_sessions_json(const session::SessionStats& stats,
 
 void write_sessions_json_file(const session::SessionStats& stats,
                               const std::string& path) {
-  auto out = open_or_throw(path);
-  write_sessions_json(stats, out);
+  write_file(path,
+             [&stats](std::ostream& out) { write_sessions_json(stats, out); });
 }
 
 }  // namespace wadc::exp

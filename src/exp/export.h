@@ -27,8 +27,6 @@ void write_run_json_file(const dataflow::RunStats& stats,
 // completion_seconds[], mean_interarrival[], relocations[]}.
 void write_series_json(const std::vector<AlgorithmSeries>& series,
                        std::ostream& out);
-void write_series_json_file(const std::vector<AlgorithmSeries>& series,
-                            const std::string& path);
 
 // JSON object for a multi-client session run: the aggregate metrics
 // (makespan, mean/p95 response, queueing, Jain fairness, throughput) plus

@@ -1,9 +1,8 @@
 #include "obs/decision_log.h"
 
-#include <fstream>
 #include <iterator>
-#include <stdexcept>
 
+#include "common/output_file.h"
 #include "obs/json_util.h"
 
 namespace wadc::obs {
@@ -36,11 +35,7 @@ void DecisionLog::write_jsonl(std::ostream& out) const {
 }
 
 void DecisionLog::write_jsonl_file(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open for writing: " + path);
-  write_jsonl(out);
-  out.flush();
-  if (!out) throw std::runtime_error("write failed: " + path);
+  write_file(path, [this](std::ostream& out) { write_jsonl(out); });
 }
 
 }  // namespace wadc::obs

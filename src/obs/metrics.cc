@@ -1,10 +1,9 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <fstream>
-#include <stdexcept>
 
 #include "common/assert.h"
+#include "common/output_file.h"
 #include "obs/json_util.h"
 
 namespace wadc::obs {
@@ -157,11 +156,7 @@ void MetricsRegistry::write_json(std::ostream& out) const {
 }
 
 void MetricsRegistry::write_json_file(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open for writing: " + path);
-  write_json(out);
-  out.flush();
-  if (!out) throw std::runtime_error("write failed: " + path);
+  write_file(path, [this](std::ostream& out) { write_json(out); });
 }
 
 void MetricsRegistry::write_text(std::ostream& out) const {

@@ -1,9 +1,8 @@
 #include "obs/profiler.h"
 
 #include <algorithm>
-#include <fstream>
-#include <stdexcept>
 
+#include "common/output_file.h"
 #include "obs/json_util.h"
 
 namespace wadc::obs {
@@ -87,11 +86,7 @@ void Profiler::write_json(std::ostream& out) const {
 }
 
 void Profiler::write_json_file(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open for writing: " + path);
-  write_json(out);
-  out.flush();
-  if (!out) throw std::runtime_error("write failed: " + path);
+  write_file(path, [this](std::ostream& out) { write_json(out); });
 }
 
 }  // namespace wadc::obs

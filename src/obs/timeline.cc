@@ -1,9 +1,8 @@
 #include "obs/timeline.h"
 
-#include <fstream>
 #include <iterator>
-#include <stdexcept>
 
+#include "common/output_file.h"
 #include "obs/json_util.h"
 
 namespace wadc::obs {
@@ -66,17 +65,10 @@ void Timeline::write_json(std::ostream& out) const {
 }
 
 void Timeline::write_file(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open for writing: " + path);
-  const bool json = path.size() >= 5 &&
-                    path.compare(path.size() - 5, 5, ".json") == 0;
-  if (json) {
-    write_json(out);
-  } else {
-    write_csv(out);
-  }
-  out.flush();
-  if (!out) throw std::runtime_error("write failed: " + path);
+  const bool json = path.ends_with(".json");
+  wadc::write_file(path, [this, json](std::ostream& out) {
+    json ? write_json(out) : write_csv(out);
+  });
 }
 
 }  // namespace wadc::obs

@@ -1,10 +1,9 @@
 #include "obs/tracer.h"
 
-#include <fstream>
 #include <iterator>
-#include <stdexcept>
 
 #include "common/assert.h"
+#include "common/output_file.h"
 #include "obs/json_util.h"
 
 namespace wadc::obs {
@@ -121,11 +120,7 @@ void Tracer::write_chrome_json(std::ostream& out) const {
 }
 
 void Tracer::write_chrome_json_file(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open for writing: " + path);
-  write_chrome_json(out);
-  out.flush();
-  if (!out) throw std::runtime_error("write failed: " + path);
+  write_file(path, [this](std::ostream& out) { write_chrome_json(out); });
 }
 
 }  // namespace wadc::obs

@@ -1,18 +1,17 @@
-// Priority mailbox for inter-process messages.
+// FIFO mailbox for inter-process messages.
 //
-// The network model uses mailboxes to deliver messages to hosts; the paper's
-// requirement that "barrier messages are assigned a higher priority" (§2.2)
-// maps to the priority argument of send(): among buffered items, higher
-// priority is received first, FIFO within a priority level. Waiting
-// receivers are served in FIFO order.
+// The engine uses mailboxes to hand delivered messages to the operator and
+// client processes. Items are received in the order they were sent, and
+// waiting receivers are served in FIFO order. The paper's requirement that
+// "barrier messages are assigned a higher priority" (§2.2) is met by the
+// network's transfer queue (net/network.h), before a message reaches a
+// mailbox.
 #pragma once
 
-#include <algorithm>
 #include <coroutine>
 #include <deque>
 #include <optional>
 #include <utility>
-#include <vector>
 
 #include "common/assert.h"
 #include "sim/simulation.h"
@@ -29,9 +28,8 @@ class Mailbox {
 
   // Enqueues a value. If a receiver is waiting, one is woken (through the
   // event queue, preserving determinism).
-  void send(T value, int priority = 0) {
-    items_.push_back(Item{priority, next_item_seq_++, std::move(value)});
-    std::push_heap(items_.begin(), items_.end(), item_later);
+  void send(T value) {
+    items_.push_back(std::move(value));
     if (!waiters_.empty()) {
       ReceiveAwaiter* waiter = waiters_.front();
       waiters_.pop_front();
@@ -39,19 +37,10 @@ class Mailbox {
     }
   }
 
-  // Awaitable receive; co_await yields the next item (highest priority,
-  // FIFO within priority).
+  // Awaitable receive; co_await yields the oldest item.
   auto receive() { return ReceiveAwaiter{this, std::nullopt, {}}; }
 
-  // Non-blocking receive.
-  std::optional<T> try_receive() {
-    if (items_.empty()) return std::nullopt;
-    return pop_best();
-  }
-
-  std::size_t size() const { return items_.size(); }
   bool empty() const { return items_.empty(); }
-  std::size_t waiter_count() const { return waiters_.size(); }
 
   struct ReceiveAwaiter {
     Mailbox* mailbox;
@@ -60,7 +49,7 @@ class Mailbox {
 
     bool await_ready() {
       if (mailbox->items_.empty()) return false;
-      value = mailbox->pop_best();
+      value = mailbox->pop_front();
       return true;
     }
     void await_suspend(std::coroutine_handle<> h) {
@@ -74,40 +63,26 @@ class Mailbox {
   };
 
  private:
-  struct Item {
-    int priority;
-    std::uint64_t seq;
-    T value;
-  };
-
-  // Max-heap order: higher priority first, then lower seq (FIFO).
-  static bool item_later(const Item& a, const Item& b) {
-    if (a.priority != b.priority) return a.priority < b.priority;
-    return a.seq > b.seq;
-  }
-
-  T pop_best() {
-    std::pop_heap(items_.begin(), items_.end(), item_later);
-    T v = std::move(items_.back().value);
-    items_.pop_back();
+  T pop_front() {
+    T v = std::move(items_.front());
+    items_.pop_front();
     return v;
   }
 
   void wake(ReceiveAwaiter* waiter) {
     if (items_.empty()) {
-      // A try_receive() raced ahead of this wake-up; the waiter goes back
-      // to the head of the line.
+      // Another receiver found the item buffered and took it before this
+      // wake-up ran; the waiter goes back to the head of the line.
       waiters_.push_front(waiter);
       return;
     }
-    waiter->value = pop_best();
+    waiter->value = pop_front();
     waiter->handle.resume();
   }
 
   Simulation& sim_;
-  std::vector<Item> items_;
+  std::deque<T> items_;
   std::deque<ReceiveAwaiter*> waiters_;
-  std::uint64_t next_item_seq_ = 0;
 };
 
 }  // namespace wadc::sim

@@ -1,9 +1,8 @@
-// Counted resource (semaphore) with priority waiters and RAII holds.
+// Counted resource (semaphore) with FIFO waiters and RAII holds.
 //
 // Models serially-shared facilities such as a server's disk. Waiters are
-// served highest-priority first, FIFO within a priority level. Units
-// released while processes wait are handed directly to the best waiter, so
-// priority can never be bypassed by a late arrival.
+// served in arrival order. Units released while processes wait are handed
+// directly to the oldest waiter, so a late arrival can never overtake it.
 #pragma once
 
 #include <coroutine>
@@ -47,16 +46,13 @@ class Resource {
   Resource& operator=(const Resource&) = delete;
 
   // Awaitable: acquires one unit, returning a ResourceHold.
-  auto acquire(int priority = 0) { return AcquireAwaiter{this, priority, {}, 0}; }
+  auto acquire() { return AcquireAwaiter{this, {}}; }
 
   std::int64_t available() const { return units_; }
-  std::size_t waiter_count() const { return waiters_.size(); }
 
   struct AcquireAwaiter {
     Resource* resource;
-    int priority;
     std::coroutine_handle<> handle;
-    std::uint64_t seq = 0;
 
     bool await_ready() {
       if (resource->units_ <= 0) return false;
@@ -65,25 +61,13 @@ class Resource {
     }
     void await_suspend(std::coroutine_handle<> h) {
       handle = h;
-      seq = resource->next_seq_++;
-      resource->enqueue_waiter(this);
+      resource->waiters_.push_back(this);
     }
     ResourceHold await_resume() { return ResourceHold{resource}; }
   };
 
  private:
   friend class ResourceHold;
-
-  void enqueue_waiter(AcquireAwaiter* w) {
-    // Insert keeping (priority desc, seq asc) order; waiter lists are short.
-    auto it = waiters_.begin();
-    while (it != waiters_.end() && ((*it)->priority > w->priority ||
-                                    ((*it)->priority == w->priority &&
-                                     (*it)->seq < w->seq))) {
-      ++it;
-    }
-    waiters_.insert(it, w);
-  }
 
   void release_unit() {
     if (!waiters_.empty()) {
@@ -99,7 +83,6 @@ class Resource {
   Simulation& sim_;
   std::int64_t units_;
   std::deque<AcquireAwaiter*> waiters_;
-  std::uint64_t next_seq_ = 0;
 };
 
 inline ResourceHold& ResourceHold::operator=(ResourceHold&& o) noexcept {

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "common/output_file.h"
 #include "common/parse.h"
 
 namespace wadc::trace {
@@ -104,9 +105,7 @@ std::vector<BandwidthTrace> load_trace_set(std::istream& in) {
 }
 
 void save_trace_file(const BandwidthTrace& trace, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open for writing: " + path);
-  save_trace(trace, out);
+  write_file(path, [&trace](std::ostream& out) { save_trace(trace, out); });
 }
 
 BandwidthTrace load_trace_file(const std::string& path) {
@@ -117,9 +116,8 @@ BandwidthTrace load_trace_file(const std::string& path) {
 
 void save_trace_set_file(const std::vector<BandwidthTrace>& traces,
                          const std::string& path) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open for writing: " + path);
-  save_trace_set(traces, out);
+  write_file(path,
+             [&traces](std::ostream& out) { save_trace_set(traces, out); });
 }
 
 std::vector<BandwidthTrace> load_trace_set_file(const std::string& path) {

@@ -1,5 +1,5 @@
-// Tests for the common utilities: deterministic RNG, assertions, and the
-// strict input reader.
+// Tests for the common utilities: deterministic RNG, assertions, the
+// strict input reader and the checked file writer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,12 +7,16 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <ostream>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/assert.h"
+#include "common/output_file.h"
 #include "common/parse.h"
 #include "common/rng.h"
 
@@ -299,6 +303,141 @@ TEST(ForEachSpecLine, UnreadTrailingTokenFailsTheLine) {
 TEST(ReadSpecFile, MissingFileNamesSpecAndPath) {
   EXPECT_EQ(error_of([] { read_spec_file("fault spec", "/nonexistent/f"); }),
             "cannot open fault spec: /nonexistent/f");
+}
+
+TEST(WriteFile, FailuresThrowNamingThePath) {
+  const auto write_x = [](std::ostream& out) { out << "x"; };
+  EXPECT_EQ(error_of([&] { write_file("/nonexistent/dir/f", write_x); }),
+            "cannot open for writing: /nonexistent/dir/f");
+  EXPECT_EQ(error_of([&] { write_file("/dev/full", write_x); }),
+            "write failed: /dev/full");
+}
+
+// ---- command-line flags ----------------------------------------------------
+
+enum class Shape { kBinary, kLeftDeep };
+
+// A small table with one flag of every kind.
+struct FlagTable {
+  int servers = 8;
+  std::uint64_t seed = 1000;
+  double period = 600;
+  std::string out;
+  int jobs = 0;
+  Shape shape = Shape::kBinary;
+  bool csv = false;
+  bool baseline = true;
+
+  std::vector<Flag> flags() {
+    return {number_flag("--servers", servers, 2),
+            number_flag("--seed", seed),
+            number_flag("--period", period),
+            path_flag("--out", out),
+            parsed_flag(
+                "--jobs", jobs,
+                [](std::string_view text) {
+                  const std::optional<int> v = parse_number<int>(text);
+                  return v && *v % 2 == 0 ? v : std::nullopt;
+                },
+                "an even integer"),
+            choice_flag("--shape", shape,
+                        {{"binary", Shape::kBinary},
+                         {"left-deep", Shape::kLeftDeep}}),
+            switch_flag("--csv", csv),
+            switch_flag("--no-baseline", baseline, false)};
+  }
+
+  FlagsRead read(const std::vector<std::string_view>& args) {
+    return read_flags(args, flags());
+  }
+};
+
+TEST(ReadFlags, StoresEveryKind) {
+  FlagTable t;
+  const FlagsRead read =
+      t.read({"--servers=4", "--seed=18446744073709551615", "--period=2.5",
+              "--out=r.json", "--jobs=6", "--shape=left-deep", "--csv",
+              "--no-baseline"});
+  EXPECT_FALSE(read.help);
+  EXPECT_EQ(read.error, "");
+  EXPECT_EQ(t.servers, 4);
+  EXPECT_EQ(t.seed, std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(t.period, 2.5);
+  EXPECT_EQ(t.out, "r.json");
+  EXPECT_EQ(t.jobs, 6);
+  EXPECT_EQ(t.shape, Shape::kLeftDeep);
+  EXPECT_TRUE(t.csv);
+  EXPECT_FALSE(t.baseline);
+}
+
+TEST(ReadFlags, NoArgumentsKeepsTheDefaults) {
+  FlagTable t;
+  const FlagsRead read = t.read({});
+  EXPECT_FALSE(read.help);
+  EXPECT_EQ(read.error, "");
+  EXPECT_EQ(t.servers, 8);
+  EXPECT_EQ(t.out, "");
+  EXPECT_TRUE(t.baseline);
+}
+
+TEST(ReadFlags, LastOccurrenceWins) {
+  FlagTable t;
+  EXPECT_EQ(t.read({"--servers=3", "--out=a", "--servers=5", "--out=b"}).error,
+            "");
+  EXPECT_EQ(t.servers, 5);
+  EXPECT_EQ(t.out, "b");
+}
+
+TEST(ReadFlags, EachRejectionIsOneLineNamingTheValue) {
+  const std::vector<std::pair<std::vector<std::string_view>, std::string>>
+      cases = {
+          {{"--servers=8x"},
+           "invalid value for --servers: '8x' (want an integer >= 2)"},
+          {{"--servers=1"},
+           "invalid value for --servers: '1' (want an integer >= 2)"},
+          {{"--seed=-3"},
+           "invalid value for --seed: '-3' (want a non-negative integer)"},
+          {{"--period=nan"},
+           "invalid value for --period: 'nan' (want a number)"},
+          {{"--out="}, "invalid value for --out: '' (want a file path)"},
+          {{"--jobs=3"},
+           "invalid value for --jobs: '3' (want an even integer)"},
+          {{"--shape=complete-binary"},
+           "invalid value for --shape: 'complete-binary' (want binary or "
+           "left-deep)"},
+          {{"--no-such-flag"}, "unknown option '--no-such-flag'"},
+          {{"--csv=1"}, "unknown option '--csv=1'"},
+          {{"--servers"}, "unknown option '--servers'"},
+          {{"servers=4"}, "unknown option 'servers=4'"},
+      };
+  for (const auto& [args, want] : cases) {
+    FlagTable t;
+    const FlagsRead read = t.read(args);
+    EXPECT_FALSE(read.help) << want;
+    EXPECT_EQ(read.error, want);
+    EXPECT_EQ(read.error.find('\n'), std::string::npos) << want;
+  }
+}
+
+TEST(ReadFlags, StopsAtTheFirstError) {
+  FlagTable t;
+  const FlagsRead read = t.read({"--servers=4", "--seed=abc", "--out=x"});
+  EXPECT_EQ(read.error,
+            "invalid value for --seed: 'abc' (want a non-negative integer)");
+  EXPECT_EQ(t.servers, 4);
+  EXPECT_EQ(t.out, "");
+}
+
+TEST(ReadFlags, HelpStopsReading) {
+  for (const std::string_view help : {"--help", "-h"}) {
+    FlagTable t;
+    const FlagsRead read = t.read({"--servers=4", help, "--bogus"});
+    EXPECT_TRUE(read.help) << help;
+    EXPECT_EQ(read.error, "") << help;
+    EXPECT_EQ(t.servers, 4);
+  }
+  FlagTable t;
+  EXPECT_FALSE(t.read({"--bogus", "--help"}).help);
 }
 
 }  // namespace

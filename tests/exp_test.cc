@@ -2,10 +2,20 @@
 // sweep bookkeeping.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
+#include <sstream>
+#include <string>
 
+#include "cache/cache_config.h"
 #include "exp/experiment.h"
+#include "exp/export.h"
 #include "exp/report.h"
+#include "fault/spec_io.h"
+#include "obs/decision_log.h"
+#include "obs/metrics.h"
+#include "obs/timeline.h"
+#include "obs/tracer.h"
 #include "trace/library.h"
 
 namespace wadc::exp {
@@ -77,6 +87,83 @@ TEST(RunExperiment, IsReproducible) {
   const auto r2 = run_experiment(shared_library(), spec);
   EXPECT_EQ(r1.completion_seconds, r2.completion_seconds);
   EXPECT_EQ(r1.stats.relocations, r2.stats.relocations);
+}
+
+// Every artifact of one run with all four obs sinks attached, as the
+// exporters write them.
+struct RunArtifacts {
+  std::string run, metrics, trace, decisions, timeline;
+};
+
+// Runs `base` through `ctx`, or through a fresh stack when `ctx` is null.
+RunArtifacts run_with_sinks(const ExperimentSpec& base, RunContext* ctx) {
+  obs::Tracer tracer;
+  obs::MetricsRegistry metrics;
+  obs::DecisionLog decisions;
+  obs::Timeline timeline;
+  ExperimentSpec spec = base;
+  spec.obs.tracer = &tracer;
+  spec.obs.metrics = &metrics;
+  spec.obs.decisions = &decisions;
+  spec.obs.timeline = &timeline;
+  const RunResult result = ctx != nullptr
+                               ? run_experiment(shared_library(), spec, *ctx)
+                               : run_experiment(shared_library(), spec);
+  std::ostringstream run, metrics_out, trace, decisions_out, timeline_out;
+  write_run_json(result.stats, run);
+  metrics.write_json(metrics_out);
+  tracer.write_chrome_json(trace);
+  decisions.write_jsonl(decisions_out);
+  timeline.write_csv(timeline_out);
+  return {run.str(), metrics_out.str(), trace.str(), decisions_out.str(),
+          timeline_out.str()};
+}
+
+// The bench sweeps run through reused worker contexts and wadc_run through
+// fresh stacks; both must produce the same bytes.
+TEST(RunContext, WarmRunsMatchFreshRuns) {
+  const fault::FaultSpec faults = fault::parse_fault_spec(
+      "crash 2 300 900\nblackout 1 3 200 500\ndrop 0.01\n");
+  // The warm runs' sinks allocate from the context's arena, so the context
+  // outlives every one of them.
+  RunContext ctx;
+  int runs = 0;
+  for (const core::AlgorithmKind algorithm :
+       {core::AlgorithmKind::kDownloadAll, core::AlgorithmKind::kOneShot,
+        core::AlgorithmKind::kGlobal, core::AlgorithmKind::kLocal,
+        core::AlgorithmKind::kGlobalOrder,
+        core::AlgorithmKind::kReorderOnly}) {
+    for (const bool faulted : {false, true}) {
+      for (const bool cached : {false, true}) {
+        for (std::uint64_t seed = 1000; seed <= 1002; ++seed) {
+          ExperimentSpec spec;
+          spec.algorithm = algorithm;
+          spec.num_servers = 4;
+          spec.iterations = 40;
+          spec.relocation_period_seconds = 150;
+          spec.local_extra_candidates = 2;
+          spec.config_seed = seed;
+          if (faulted) spec.fault = faults;
+          if (cached) spec.cache = cache::parse_cache_spec("capacity=8m");
+          SCOPED_TRACE(std::string(core::algorithm_name(algorithm)) +
+                       (faulted ? " faulted" : " plain") +
+                       (cached ? " cached" : "") + " seed " +
+                       std::to_string(seed));
+          const RunArtifacts warm = run_with_sinks(spec, &ctx);
+          const RunArtifacts fresh = run_with_sinks(spec, nullptr);
+          EXPECT_TRUE(warm.run == fresh.run) << "run JSON differs";
+          EXPECT_TRUE(warm.metrics == fresh.metrics) << "metrics differ";
+          EXPECT_TRUE(warm.trace == fresh.trace) << "Chrome trace differs";
+          EXPECT_TRUE(warm.decisions == fresh.decisions)
+              << "decision log differs";
+          EXPECT_TRUE(warm.timeline == fresh.timeline)
+              << "timeline differs";
+          ++runs;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(runs, 72);
 }
 
 TEST(RunSweep, SpeedupIsBaselineOverCompletion) {

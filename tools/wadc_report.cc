@@ -38,6 +38,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/output_file.h"
 #include "common/parse.h"
 #include "exp/experiment.h"
 #include "exp/report.h"
@@ -102,11 +103,6 @@ std::string bar(double value, double max_value, int width = 40) {
                     : 0;
   return std::string(static_cast<std::size_t>(std::min(n, width)), '#');
 }
-
-struct Options {
-  int configs = 60;
-  std::string out_path;
-};
 
 // ---- minimal JSON reader (inspect mode; no external dependencies) ----------
 
@@ -421,14 +417,6 @@ std::vector<TimelineRow> load_timeline(const std::string& path) {
   }
   return rows;
 }
-
-struct InspectOptions {
-  std::string run_path;  // run.json from wadc_run --dump-run
-  std::string timeline_path;
-  std::string metrics_path;
-  std::string decisions_path;
-  int max_trail = 200;  // decision records printed in full
-};
 
 // Digest of a --dump-run artifact. Runs executed on a non-default transport
 // backend carry a "backend" field; their timestamps are scaled wall clock,
@@ -749,35 +737,37 @@ int print_decision_trail(const std::string& path, int max_trail) {
   return 0;
 }
 
-int run_inspect(int argc, char** argv) {
-  InspectOptions opt;
-  for (int i = 2; i < argc; ++i) {
-    if (auto v = flag_value(argv[i], "--timeline")) {
-      opt.timeline_path = *v;
-    } else if (auto vr = flag_value(argv[i], "--run")) {
-      opt.run_path = *vr;
-    } else if (auto v2 = flag_value(argv[i], "--metrics")) {
-      opt.metrics_path = *v2;
-    } else if (auto v3 = flag_value(argv[i], "--decisions")) {
-      opt.decisions_path = *v3;
-    } else if (auto v4 = flag_value(argv[i], "--max-trail")) {
-      const std::optional<int> n = parse_number<int>(*v4);
-      if (!n || *n < 0) {
-        std::fprintf(stderr, "inspect: invalid --max-trail '%s' (want an "
-                     "integer >= 0)\n", v4->c_str());
-        return 2;
-      }
-      opt.max_trail = *n;
-    } else {
-      std::fprintf(stderr,
-                   "usage: wadc_report inspect [--run=FILE] "
-                   "[--timeline=FILE] "
-                   "[--metrics=FILE] [--decisions=FILE] [--max-trail=N]\n");
-      return 2;
-    }
+constexpr const char* kUsage =
+    "usage: wadc_report [--configs=N] [--out=FILE]\n"
+    "       wadc_report inspect [--run=FILE] [--timeline=FILE] "
+    "[--metrics=FILE] [--decisions=FILE] [--max-trail=N]\n";
+
+// The exit code when read_flags stopped early: 0 after --help, 2 after an
+// error, whose line comes first (after `prefix`).
+std::optional<int> early_exit(const FlagsRead& read, const char* prefix) {
+  if (read.help) {
+    std::fputs(kUsage, stderr);
+    return 0;
   }
-  if (opt.run_path.empty() && opt.timeline_path.empty() &&
-      opt.metrics_path.empty() && opt.decisions_path.empty()) {
+  if (read.error.empty()) return std::nullopt;
+  std::fprintf(stderr, "%s%s\n%s", prefix, read.error.c_str(), kUsage);
+  return 2;
+}
+
+int run_inspect(int argc, char** argv) {
+  std::string run_path;  // run.json from wadc_run --dump-run
+  std::string timeline_path, metrics_path, decisions_path;
+  int max_trail = 200;  // decision records printed in full
+  const FlagsRead read =
+      read_flags(std::vector<std::string_view>(argv + 2, argv + argc),
+                 {path_flag("--run", run_path),
+                  path_flag("--timeline", timeline_path),
+                  path_flag("--metrics", metrics_path),
+                  path_flag("--decisions", decisions_path),
+                  number_flag("--max-trail", max_trail, 0)});
+  if (const std::optional<int> rc = early_exit(read, "inspect: ")) return *rc;
+  if (run_path.empty() && timeline_path.empty() && metrics_path.empty() &&
+      decisions_path.empty()) {
     std::fprintf(stderr,
                  "inspect: nothing to do — pass at least one of "
                  "--run / --timeline / --metrics / --decisions\n");
@@ -786,16 +776,16 @@ int run_inspect(int argc, char** argv) {
 
   std::printf("# wadc run inspection\n\n");
   try {
-    if (!opt.run_path.empty()) print_run_digest(opt.run_path);
-    if (!opt.timeline_path.empty()) {
-      const std::vector<TimelineRow> rows = load_timeline(opt.timeline_path);
+    if (!run_path.empty()) print_run_digest(run_path);
+    if (!timeline_path.empty()) {
+      const std::vector<TimelineRow> rows = load_timeline(timeline_path);
       print_host_staleness(rows);
       print_session_summaries(rows);
     }
-    if (!opt.metrics_path.empty()) print_metrics_digest(opt.metrics_path);
-    if (!opt.decisions_path.empty()) {
+    if (!metrics_path.empty()) print_metrics_digest(metrics_path);
+    if (!decisions_path.empty()) {
       if (const int rc =
-              print_decision_trail(opt.decisions_path, opt.max_trail);
+              print_decision_trail(decisions_path, max_trail);
           rc != 0) {
         return rc;
       }
@@ -814,41 +804,28 @@ int main(int argc, char** argv) {
     return run_inspect(argc, argv);
   }
 
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    if (auto v = flag_value(argv[i], "--configs")) {
-      const std::optional<int> n = parse_number<int>(*v);
-      if (!n || *n < 1) {
-        std::fprintf(stderr, "invalid --configs '%s' (want an integer >= "
-                     "1)\n", v->c_str());
-        return 2;
-      }
-      opt.configs = *n;
-    } else if (auto v2 = flag_value(argv[i], "--out")) {
-      opt.out_path = *v2;
-    } else {
-      std::fprintf(stderr,
-                   "usage: wadc_report [--configs=N] [--out=FILE]\n"
-                   "       wadc_report inspect [--run=FILE] "
-                   "[--timeline=FILE] "
-                   "[--metrics=FILE] [--decisions=FILE] [--max-trail=N]\n");
-      return 2;
-    }
-  }
+  int configs = 60;
+  std::string out_path;  // report to stdout when empty
+  const FlagsRead read =
+      read_flags(std::vector<std::string_view>(argv + 1, argv + argc),
+                 {number_flag("--configs", configs, 1),
+                  path_flag("--out", out_path)});
+  if (const std::optional<int> rc = early_exit(read, "")) return *rc;
 
-  std::ofstream file;
-  if (!opt.out_path.empty()) {
-    file.open(opt.out_path);
-    if (!file) {
-      std::fprintf(stderr, "cannot open %s\n", opt.out_path.c_str());
+  std::optional<OutputFile> file;
+  if (!out_path.empty()) {
+    try {
+      file.emplace(out_path);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "%s\n", e.what());
       return 1;
     }
   }
-  std::ostream& out = opt.out_path.empty() ? std::cout : file;
+  std::ostream& out = file ? file->stream() : std::cout;
 
   const trace::TraceLibrary library(trace::TraceLibraryParams{}, 2026);
   exp::SweepSpec sweep;
-  sweep.configs = opt.configs;
+  sweep.configs = configs;
   sweep.base_seed = exp::env_seed(1000);
 
   const auto progress = [](int done, int total) {
@@ -860,7 +837,7 @@ int main(int argc, char** argv) {
   out << "# wadc reproduction report\n\n";
   out << "Ranganathan, Acharya, Saltz — *Adapting to Bandwidth Variations "
          "in Wide-Area Data Combination* (ICDCS 1998)\n\n";
-  out << opt.configs << " network configurations per experiment, seed "
+  out << configs << " network configurations per experiment, seed "
       << sweep.base_seed << ".\n\n";
 
   // ---- Figure 6 ---------------------------------------------------------
@@ -990,8 +967,14 @@ int main(int argc, char** argv) {
          "paper-vs-measured discussion.\n";
 
   std::fprintf(stderr, "done.\n");
-  if (!opt.out_path.empty()) {
-    std::fprintf(stderr, "report written to %s\n", opt.out_path.c_str());
+  if (file) {
+    try {
+      file->close();
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "%s\n", e.what());
+      return 1;
+    }
+    std::fprintf(stderr, "report written to %s\n", out_path.c_str());
   }
   return 0;
 }
