@@ -1,5 +1,6 @@
 // Google-benchmark microbenchmarks for the substrate hot paths: the event
-// queue, trace integration, the branch-and-bound critical path, the one-shot
+// queue (including cancelled timeouts and current-time wake-ups), trace
+// integration, the branch-and-bound critical path, the one-shot
 // planner, piggyback payload construction, callback dispatch (sim::Callback
 // vs std::function), the parallel sweep runner, and a full end-to-end run.
 #include <benchmark/benchmark.h>
@@ -8,6 +9,7 @@
 #include <array>
 #include <functional>
 #include <thread>
+#include <vector>
 
 #include "core/bandwidth_resolver.h"
 #include "core/cost_model.h"
@@ -37,6 +39,70 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_EventQueueScheduleRun)->Arg(1024)->Arg(16384);
+
+// The fault-mode hop shape: every message arms a cancellable timeout ~450 s
+// out (120 s plus 128 KiB at the pessimistic 400 B/s) and cancels it when
+// the message lands a fraction of a second later. `flows` messages are in
+// flight at once, each with one live timeout.
+struct TimeoutFlow {
+  sim::Simulation* sim;
+  double hop_seconds;
+  int hops_left;
+  sim::EventSeq timeout = sim::kNoEventSeq;
+
+  void send() {
+    timeout = sim->schedule_at_cancellable(sim->now() + 450.0, [] {});
+    sim->schedule_in(hop_seconds, [this] { land(); });
+  }
+  void land() {
+    sim->cancel_scheduled(timeout);
+    if (--hops_left > 0) send();
+  }
+};
+
+void BM_EventQueueTimeouts(benchmark::State& state) {
+  const auto flows = static_cast<int>(state.range(0));
+  constexpr int kHops = 256;
+  for (auto _ : state) {
+    sim::Simulation sim;
+    std::vector<TimeoutFlow> fs;
+    fs.reserve(static_cast<std::size_t>(flows));
+    for (int i = 0; i < flows; ++i) {
+      fs.push_back(TimeoutFlow{&sim, 0.2 + 0.01 * (i % 37), kHops});
+      fs.back().send();
+    }
+    sim.run();
+    benchmark::DoNotOptimize(sim.events_processed());
+  }
+  state.SetItemsProcessed(state.iterations() * flows * kHops);
+}
+BENCHMARK(BM_EventQueueTimeouts)->Arg(16)->Arg(128);
+
+// Wake-ups at the current time — resumed waiters, zero-delay yields — with
+// `pending` later events in the queue, as in a run between two transfers.
+void BM_EventQueueWakeNow(benchmark::State& state) {
+  const auto pending = static_cast<int>(state.range(0));
+  constexpr int kWakeUps = 4096;
+  struct Chain {
+    sim::Simulation* sim;
+    int* left;
+    void operator()() const {
+      if (--*left > 0) sim->schedule_in(0.0, *this);
+    }
+  };
+  for (auto _ : state) {
+    sim::Simulation sim;
+    for (int i = 0; i < pending; ++i) {
+      sim.schedule_at(10.0 + static_cast<double>(i), [] {});
+    }
+    int left = kWakeUps;
+    sim.schedule_at(1.0, Chain{&sim, &left});
+    sim.run(2.0);
+    benchmark::DoNotOptimize(left);
+  }
+  state.SetItemsProcessed(state.iterations() * kWakeUps);
+}
+BENCHMARK(BM_EventQueueWakeNow)->Arg(4)->Arg(256);
 
 // Same schedule/run loop with a by-value capture larger than the Callback
 // inline buffer, forcing the heap storage path on every event.

@@ -32,6 +32,13 @@ class BandwidthResolver {
   // Bandwidth estimate for {a, b} in bytes/second, or nullopt if unknown.
   // Implementations record the pairs they were asked about so planning
   // drivers can see what a real system would have had to measure.
+  //
+  // The answer is symmetric in (a, b) and does not change during one
+  // synchronous OneShotPlanner::plan() call, which therefore asks about
+  // each pair at most once and reuses the answer (CostModel::EdgeMemo).
+  // All three resolvers below qualify: OracleResolver reads the link table
+  // at a fixed time, CacheResolver a cache that nothing records into while
+  // a plan runs, and MapResolver a fixed table; each keys pairs unordered.
   virtual std::optional<double> bandwidth(net::HostId a, net::HostId b) = 0;
 };
 

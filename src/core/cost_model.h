@@ -17,6 +17,7 @@
 // "only a subset of the links need to be measured".
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <set>
 #include <vector>
@@ -42,7 +43,16 @@ struct CostModelParams {
 };
 
 class CostModel {
+  // Per-operator scratch of one walk: the optimistic upper bound on the
+  // path cost through the operator's output, and which input (0 = left,
+  // 1 = right) carries the critical path into it.
+  struct OpScratch {
+    double bound = 0;
+    int best_input = -1;
+  };
+
  public:
+  // The model reads `tree`'s shape once, here; the tree must outlive it.
   CostModel(const CombinationTree& tree, const CostModelParams& params);
 
   const CombinationTree& tree() const { return tree_; }
@@ -79,21 +89,55 @@ class CostModel {
     return critical_path(p, r).cost;
   }
 
+  // Edge costs by host pair for one planning pass, plus the walk's
+  // per-operator scratch. Each pair goes to the resolver at most once, and
+  // an unknown pair is added to `unknown` (when non-null) the first time
+  // only. Valid only while the resolver's answers cannot change: for the
+  // span of one synchronous OneShotPlanner::plan() (bandwidth_resolver.h).
+  class EdgeMemo {
+   public:
+    EdgeMemo(const CostModel& model, BandwidthResolver& r,
+             std::set<HostPair>* unknown);
+
+   private:
+    friend class CostModel;
+    BandwidthResolver& resolver_;
+    std::set<HostPair>* unknown_;
+    std::vector<double> costs_;  // by net::pair_index; < 0 = not asked yet
+    std::vector<OpScratch> ops_;
+  };
+
+  // The critical-path cost of `p`, with its edges costed through `memo`.
+  // It runs the same walk as critical_path(), so the two costs are
+  // bit-identical. When `path` is non-null it receives the critical path's
+  // operators, root first. Allocates nothing beyond `path`'s growth.
+  double critical_path_cost(const Placement& p, EdgeMemo& memo,
+                            std::vector<OperatorId>* path = nullptr) const;
+
  private:
-  struct EvalState;
+  // One input of an operator as the walk reads it: an operator, or
+  // kNoOperator for a server together with the server's host.
+  struct Input {
+    OperatorId op = kNoOperator;
+    net::HostId server_host = net::kInvalidHost;
+  };
+  struct Walk;
 
-  // Upper bound on the root-to-leaf path cost inside `child`'s subtree,
-  // assuming every cross-host edge runs at the pessimistic bandwidth. Uses
-  // host co-location (free to check) but resolves no bandwidth.
-  double subtree_upper_bound(const Child& child, const Placement& p) const;
-
-  // Exact longest path from any server in `child`'s subtree to the top of
-  // `child` (inclusive of `child`'s compute if it is an operator).
-  double exact_subtree_cost(const Child& child, const Placement& p,
-                            EvalState& state) const;
+  // The branch-and-bound walk (§2.1): upper bounds bottom-up, then the
+  // exact cost from the root, exploring the input with the larger bound
+  // first and skipping the other — without resolving its links'
+  // bandwidth — when its bound cannot beat the first input's exact cost.
+  double walk(Walk& w) const;
+  // Exact longest path from any server below `op` to `op`'s output.
+  double subtree_cost(OperatorId op, Walk& w) const;
+  double walk_edge(net::HostId from, net::HostId to, Walk& w) const;
+  // Fills `path` from the walk's best-input marks; returns the critical
+  // server.
+  int trace_path(const OpScratch* ops, std::vector<OperatorId>& path) const;
 
   const CombinationTree& tree_;
   CostModelParams params_;
+  std::vector<std::array<Input, 2>> inputs_;  // by OperatorId
 };
 
 }  // namespace wadc::core

@@ -13,42 +13,45 @@ PlanOutcome OneShotPlanner::plan(BandwidthResolver& resolver,
   PlanOutcome out;
   out.placement = std::move(initial);
 
-  auto cp = model_.critical_path(out.placement, resolver);
-  out.cost = cp.cost;
-  out.unknown_pairs.insert(cp.unknown_pairs.begin(), cp.unknown_pairs.end());
+  // The resolver's answers cannot change during this call, so every walk
+  // below shares one memo of edge costs: each pair is asked once, and an
+  // unknown pair lands in out.unknown_pairs when first met.
+  CostModel::EdgeMemo memo(model_, resolver, &out.unknown_pairs);
+  std::vector<OperatorId> path;
+  out.cost = model_.critical_path_cost(out.placement, memo, &path);
 
   for (int iter = 0; iter < params_.max_iterations; ++iter) {
     // Paper §2.1: C' <- C; for each operator on the critical path K,
     // consider all alternative locations; keep the cheapest; accept only if
-    // it strictly improves on C.
+    // it strictly improves on C. Each candidate is costed in place: the
+    // move is applied to out.placement and undone after the walk.
     double best_cost = out.cost;
-    Placement best = out.placement;
-    bool candidate_found = false;
+    OperatorId best_op = kNoOperator;
+    net::HostId best_host = net::kInvalidHost;
 
-    for (const OperatorId op : cp.path) {
+    for (const OperatorId op : path) {
       const net::HostId current = out.placement.location(op);
       for (net::HostId host = 0; host < tree.num_hosts(); ++host) {
         if (host == current) continue;
-        Placement cand = out.placement;
-        cand.set_location(op, host);
-        auto cand_cp = model_.critical_path(cand, resolver);
+        out.placement.set_location(op, host);
+        const double cost = model_.critical_path_cost(out.placement, memo);
         ++out.candidates_evaluated;
-        out.unknown_pairs.insert(cand_cp.unknown_pairs.begin(),
-                                 cand_cp.unknown_pairs.end());
         // "<=" as in the paper's pseudocode: later ties win within a pass.
-        if (cand_cp.cost <= best_cost) {
-          best_cost = cand_cp.cost;
-          best = std::move(cand);
-          candidate_found = true;
+        if (cost <= best_cost) {
+          best_cost = cost;
+          best_op = op;
+          best_host = host;
         }
       }
+      out.placement.set_location(op, current);
     }
 
-    if (!candidate_found || best_cost >= out.cost) break;  // C' < C failed
-    out.placement = std::move(best);
+    // Stop when no candidate strictly improves on C (C' < C fails).
+    if (best_op == kNoOperator || best_cost >= out.cost) break;
+    out.placement.set_location(best_op, best_host);
     out.cost = best_cost;
     ++out.iterations;
-    cp = model_.critical_path(out.placement, resolver);
+    model_.critical_path_cost(out.placement, memo, &path);
   }
   return out;
 }

@@ -34,6 +34,8 @@ class Placement {
   void set_location(OperatorId op, net::HostId host) {
     locations_[check(op)] = host;
   }
+  // Every operator's host, indexed by OperatorId.
+  const std::vector<net::HostId>& locations() const { return locations_; }
 
   // Host producing the output of a child (server host or operator host).
   net::HostId child_host(const CombinationTree& tree, const Child& c) const {

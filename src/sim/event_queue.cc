@@ -7,58 +7,52 @@
 namespace wadc::sim {
 
 void EventQueue::sift_up(std::size_t i) {
-  Key k = heap_[i];
+  const Key k = heap_[i];
   while (i > 0) {
     const std::size_t parent = (i - 1) / 2;
     if (!earlier(k, heap_[parent])) break;
-    heap_[i] = heap_[parent];
+    place(i, heap_[parent]);
     i = parent;
   }
-  heap_[i] = k;
+  place(i, k);
 }
 
 void EventQueue::sift_down(std::size_t i) {
   const std::size_t n = heap_.size();
-  Key k = heap_[i];
+  const Key k = heap_[i];
   for (;;) {
     std::size_t child = 2 * i + 1;
     if (child >= n) break;
     if (child + 1 < n && earlier(heap_[child + 1], heap_[child])) ++child;
     if (!earlier(heap_[child], k)) break;
-    heap_[i] = heap_[child];
+    place(i, heap_[child]);
     i = child;
   }
-  heap_[i] = k;
+  place(i, k);
 }
 
-void EventQueue::pop_key() {
-  heap_.front() = heap_.back();
+void EventQueue::erase_key(std::size_t i) {
+  const Key last = heap_.back();
   heap_.pop_back();
-  if (!heap_.empty()) sift_down(0);
+  if (i == heap_.size()) return;  // the erased key was the last one
+  place(i, last);
+  if (i > 0 && earlier(last, heap_[(i - 1) / 2])) {
+    sift_up(i);
+  } else {
+    sift_down(i);
+  }
 }
 
 void EventQueue::free_slot(std::uint32_t slot) {
   Slot& s = slots_[slot];
   s.action.reset();
   s.seq = kNoEventSeq;
+  s.heap_pos = kNoSlot;
   s.next_free = free_head_;
   free_head_ = slot;
 }
 
-void EventQueue::prune_top() const {
-  // Stale keys carry no live callback (cancel already freed the slot), so
-  // dropping them from the heap is observable-state-neutral.
-  auto* self = const_cast<EventQueue*>(this);
-  while (!heap_.empty() && stale(heap_.front())) self->pop_key();
-}
-
-SimTime EventQueue::next_time() const {
-  prune_top();
-  WADC_ASSERT(!heap_.empty(), "next_time on empty queue");
-  return heap_.front().time;
-}
-
-std::uint32_t EventQueue::push(SimTime time, EventSeq seq, Callback action) {
+std::uint32_t EventQueue::take_slot(EventSeq seq, Callback action) {
   std::uint32_t slot;
   if (free_head_ != kNoSlot) {
     slot = free_head_;
@@ -71,43 +65,65 @@ std::uint32_t EventQueue::push(SimTime time, EventSeq seq, Callback action) {
   Slot& s = slots_[slot];
   s.action = std::move(action);
   s.seq = seq;
-  heap_.push_back(Key{time, seq, slot});
-  sift_up(heap_.size() - 1);
-  ++live_;
   return slot;
 }
 
+std::uint32_t EventQueue::push(SimTime time, EventSeq seq, Callback action) {
+  const std::uint32_t slot = take_slot(seq, std::move(action));
+  heap_.push_back(Key{time, seq, slot});
+  sift_up(heap_.size() - 1);
+  return slot;
+}
+
+void EventQueue::push_now(SimTime time, EventSeq seq, Callback action) {
+  WADC_DASSERT(fifo_head_ == fifo_.size() || fifo_.back().time <= time,
+               "push_now earlier than a pending push_now");
+  const std::uint32_t slot = take_slot(seq, std::move(action));
+  fifo_.push_back(Key{time, seq, slot});
+}
+
 EventQueue::Entry EventQueue::pop() {
-  prune_top();
-  WADC_ASSERT(!heap_.empty(), "pop on empty queue");
-  const Key k = heap_.front();
-  pop_key();
+  WADC_ASSERT(!empty(), "pop on empty queue");
+  Key k;
+  if (fifo_head_ != fifo_.size() &&
+      (heap_.empty() || earlier(fifo_[fifo_head_], heap_.front()))) {
+    k = fifo_[fifo_head_++];
+    if (fifo_head_ == fifo_.size()) {
+      fifo_.clear();
+      fifo_head_ = 0;
+    }
+  } else {
+    k = heap_.front();
+    erase_key(0);
+  }
   Slot& s = slots_[k.slot];
   Entry e{k.time, k.seq, std::move(s.action)};
   free_slot(k.slot);
-  --live_;
   return e;
 }
 
 void EventQueue::cancel(std::uint32_t slot, EventSeq seq) {
-  WADC_ASSERT(slot < slots_.size() && slots_[slot].seq == seq,
-              "cancel of a fired, cancelled, or unknown event");
+  WADC_ASSERT(slot < slots_.size() && slots_[slot].seq == seq &&
+                  slots_[slot].heap_pos != kNoSlot,
+              "cancel of a fired, cancelled, unknown or FIFO event");
+  erase_key(slots_[slot].heap_pos);
   free_slot(slot);
-  --live_;
 }
 
 void EventQueue::clear() {
   heap_.clear();
+  fifo_.clear();
+  fifo_head_ = 0;
   for (std::size_t i = 0; i < slots_.size(); ++i) {
     Slot& s = slots_[i];
     s.action.reset();
     s.seq = kNoEventSeq;
+    s.heap_pos = kNoSlot;
     s.next_free = (i + 1 < slots_.size())
                       ? static_cast<std::uint32_t>(i + 1)
                       : kNoSlot;
   }
   free_head_ = slots_.empty() ? kNoSlot : 0;
-  live_ = 0;
 }
 
 }  // namespace wadc::sim

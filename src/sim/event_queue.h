@@ -4,29 +4,34 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/assert.h"
 #include "sim/callback.h"
 #include "sim/types.h"
 
 namespace wadc::sim {
 
-// A (time, seq)-ordered min-heap of events. Events at equal times execute
-// in the order they were scheduled, which makes runs exactly reproducible.
+// A (time, seq)-ordered set of pending events. Events at equal times
+// execute in the order they were scheduled, which makes runs exactly
+// reproducible.
 //
-// Storage is split for the cache: the heap orders 24-byte Key entries
-// (time, seq, slot index) — so a sift moves small trivially copyable keys,
-// never a Callback — while the move-only Callback payloads sit in a
-// slot vector that is written once at push and read once at pop. Slots are
-// recycled LIFO through an intrusive free list, so a steady-state run
-// touches a compact, stable working set.
+// Storage is split for the cache: a binary min-heap orders 24-byte Key
+// entries (time, seq, slot index) — so a sift moves small trivially
+// copyable keys, never a Callback — while the move-only Callback payloads
+// sit in a slot vector that is written once at push and read once at pop.
+// Slots are recycled LIFO through an intrusive free list, so a steady-state
+// run touches a compact, stable working set.
 //
-// Cancellation is generation-tagged and O(1): each slot stores the seq of
-// the event occupying it, and cancel(slot, seq) destroys the callback and
-// frees the slot immediately. The key left in the heap becomes stale — its
-// seq no longer matches the slot's — and is dropped when it reaches the
-// top. A cancelled event never observes its action running, and
-// size()/empty()/next_time() account for cancellations immediately. No
-// hashing anywhere: the old unordered_set<EventSeq> lazy-cancel design
-// paid a hash lookup per pop.
+// Events pushed at the current time (push_now) skip the heap: they append
+// to a FIFO of keys, which pop() drains ahead of any later heap key. About
+// half of a run's events are wake-ups at the current time, and each of them
+// would otherwise sift from the bottom of the heap to the root and back.
+//
+// Cancellation is generation-tagged and removes the key at once: each slot
+// stores the seq of the event occupying it and the heap position of its
+// key, so cancel(slot, seq) takes the key out of the heap in O(log n) and
+// frees the slot. The heap holds exactly the pending heap events — a run
+// that arms a long timeout per message and cancels nearly all of them keeps
+// a small heap — and size(), empty() and next_time() are plain reads.
 class EventQueue {
  public:
   struct Entry {
@@ -35,17 +40,29 @@ class EventQueue {
     Callback action;
   };
 
-  bool empty() const { return live_ == 0; }
-  std::size_t size() const { return live_; }
+  bool empty() const { return heap_.empty() && fifo_head_ == fifo_.size(); }
+  std::size_t size() const {
+    return heap_.size() + (fifo_.size() - fifo_head_);
+  }
 
-  // Time of the earliest pending (non-cancelled) event; queue must be
-  // non-empty.
-  SimTime next_time() const;
+  // Time of the earliest pending event; queue must be non-empty.
+  SimTime next_time() const {
+    WADC_ASSERT(!empty(), "next_time on empty queue");
+    if (fifo_head_ == fifo_.size()) return heap_.front().time;
+    const SimTime t = fifo_[fifo_head_].time;
+    return heap_.empty() || t < heap_.front().time ? t : heap_.front().time;
+  }
 
   // Schedules an event. `seq` values must be strictly increasing across
-  // pushes (the caller owns the counter). Returns the slot index holding
-  // the action, for use with cancel().
+  // pushes of both kinds (the caller owns the counter). Returns the slot
+  // index holding the action, for use with cancel().
   std::uint32_t push(SimTime time, EventSeq seq, Callback action);
+
+  // Schedules a non-cancellable event at the current time: no pending
+  // event is earlier than `time`, and no later push is earlier than it
+  // either (Simulation uses it for t == now()). The FIFO must stay in
+  // (time, seq) order, which a debug check guards.
+  void push_now(SimTime time, EventSeq seq, Callback action);
 
   // Removes and returns the earliest pending event; queue must be non-empty.
   Entry pop();
@@ -56,8 +73,12 @@ class EventQueue {
   // violation into an assertion failure instead of corruption.
   void cancel(std::uint32_t slot, EventSeq seq);
 
-  // Drops everything; keeps heap and slot capacity for reuse.
+  // Drops everything; keeps heap, FIFO and slot capacity for reuse.
   void clear();
+
+  // Keys in the heap: the pending events pushed with push() (read-only,
+  // for tests).
+  std::size_t heap_size() const { return heap_.size(); }
 
  private:
   struct Key {
@@ -70,6 +91,7 @@ class EventQueue {
     Callback action;
     EventSeq seq = kNoEventSeq;     // kNoEventSeq = vacant (generation tag)
     std::uint32_t next_free = kNoSlot;
+    std::uint32_t heap_pos = kNoSlot;  // index of the key in heap_, if any
   };
 
   static constexpr std::uint32_t kNoSlot = ~static_cast<std::uint32_t>(0);
@@ -79,23 +101,25 @@ class EventQueue {
     return a.seq < b.seq;
   }
 
-  bool stale(const Key& k) const {
-    return slots_[k.slot].seq != k.seq;
+  // Writes `k` at heap position `i` and records the position in its slot.
+  void place(std::size_t i, const Key& k) {
+    heap_[i] = k;
+    slots_[k.slot].heap_pos = static_cast<std::uint32_t>(i);
   }
 
+  std::uint32_t take_slot(EventSeq seq, Callback action);
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
-  void pop_key();
+  // Removes the heap key at position `i`.
+  void erase_key(std::size_t i);
   void free_slot(std::uint32_t slot);
 
-  // Drops stale (cancelled) keys sitting at the top of the heap. Logically
-  // const: observable state (pending events and their order) is unchanged.
-  void prune_top() const;
-
-  mutable std::vector<Key> heap_;
+  std::vector<Key> heap_;
+  // push_now keys in (time, seq) order; fifo_[fifo_head_..] are pending.
+  std::vector<Key> fifo_;
+  std::size_t fifo_head_ = 0;
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNoSlot;
-  std::size_t live_ = 0;  // pending, non-cancelled events
 };
 
 }  // namespace wadc::sim

@@ -12,7 +12,11 @@ Simulation::~Simulation() { terminate_all(); }
 void Simulation::schedule_at(SimTime t, Callback action) {
   if (tearing_down_) return;  // wake-ups during teardown are dropped
   WADC_ASSERT(t >= now_, "scheduling into the past: t=", t, " now=", now_);
-  queue_.push(t, next_seq_++, std::move(action));
+  if (t == now_) {
+    queue_.push_now(t, next_seq_++, std::move(action));
+  } else {
+    queue_.push(t, next_seq_++, std::move(action));
+  }
 }
 
 void Simulation::schedule_in(SimTime dt, Callback action) {

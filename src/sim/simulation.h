@@ -73,7 +73,8 @@ class Simulation {
   // Like schedule_at, but returns a handle usable with cancel_scheduled.
   // Returns kNoEventSeq if nothing was scheduled (teardown in progress).
   // The handle is opaque: it packs the event's sequence number with its
-  // queue slot so cancellation is O(1), no hashing or search.
+  // queue slot, so cancellation goes straight to the event's heap key: no
+  // hashing or search.
   EventSeq schedule_at_cancellable(SimTime t, Callback action);
 
   // Cancels a pending event previously returned by schedule_at_cancellable.

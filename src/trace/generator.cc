@@ -21,6 +21,23 @@ const char* pair_class_name(PairClass c) {
   return "unknown";
 }
 
+TraceGenerator::TraceGenerator(const TraceGenParams& params,
+                               std::uint64_t seed)
+    : params_(params), seed_(seed) {
+  const auto n = static_cast<std::size_t>(
+      std::ceil(params_.duration_seconds / params_.step_seconds));
+  WADC_ASSERT(n > 0, "trace duration shorter than one step");
+  diurnal_.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double t = static_cast<double>(i) * params_.step_seconds;
+    const double hour = std::fmod(t / 3600.0, 24.0);
+    diurnal_.push_back(1.0 + params_.diurnal_amplitude *
+                                 std::cos(2.0 * std::numbers::pi *
+                                          (hour - params_.diurnal_peak_hour) /
+                                          24.0));
+  }
+}
+
 double TraceGenerator::class_base(PairClass cls) const {
   switch (cls) {
     case PairClass::kRegional:
@@ -41,10 +58,7 @@ BandwidthTrace TraceGenerator::generate(PairClass cls,
   Rng rng = Rng(seed_).fork(static_cast<std::uint64_t>(cls) * 0x10001 + 1)
                 .fork(label);
 
-  const auto n = static_cast<std::size_t>(
-      std::ceil(params_.duration_seconds / params_.step_seconds));
-  WADC_ASSERT(n > 0, "trace duration shorter than one step");
-
+  const std::size_t n = diurnal_.size();
   const double base =
       class_base(cls) * rng.lognormal(0.0, params_.base_sigma);
 
@@ -84,15 +98,10 @@ BandwidthTrace TraceGenerator::generate(PairClass cls,
           rng.exponential(params_.congestion_interarrival_mean_seconds);
     }
 
-    const double hour = std::fmod(t / 3600.0, 24.0);
-    const double diurnal =
-        1.0 + params_.diurnal_amplitude *
-                  std::cos(2.0 * std::numbers::pi *
-                           (hour - params_.diurnal_peak_hour) / 24.0);
-
     const double jitter = rng.lognormal(0.0, params_.jitter_sigma);
 
-    const double bw = base * level * diurnal * congestion_factor * jitter;
+    const double bw =
+        base * level * diurnal_[i] * congestion_factor * jitter;
     values.push_back(bw);
   }
 

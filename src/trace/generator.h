@@ -80,8 +80,7 @@ struct TraceGenParams {
 
 class TraceGenerator {
  public:
-  explicit TraceGenerator(const TraceGenParams& params, std::uint64_t seed)
-      : params_(params), seed_(seed) {}
+  explicit TraceGenerator(const TraceGenParams& params, std::uint64_t seed);
 
   // Generates the trace for a (class, label) pair. The output is a pure
   // function of (params, seed, cls, label).
@@ -94,6 +93,9 @@ class TraceGenerator {
 
   TraceGenParams params_;
   std::uint64_t seed_;
+  // Diurnal modulation factor per sample index. It depends only on the
+  // sample's time, so every trace shares one table.
+  std::vector<double> diurnal_;
 };
 
 }  // namespace wadc::trace

@@ -12,31 +12,49 @@
 namespace wadc::sim {
 namespace {
 
-// One round of randomized push/cancel/pop against a reference model.
-// Returns the number of events processed (for the bounded runner's count).
+// One round of randomized push/push_now/cancel/pop against a reference
+// model, used the way Simulation uses the queue: pushes are never earlier
+// than the current time (the time of the last pop), push_now schedules at
+// the current time and cannot be cancelled. Returns the number of events
+// processed (for the bounded runner's count).
 int fuzz_round_with_cancellation(std::uint64_t seed, int steps) {
   Rng rng(seed);
   EventQueue queue;
   struct Ref {
     SimTime time;
     EventSeq seq;
-    std::uint32_t slot;
+    std::uint32_t slot;  // kNoSlot for push_now events
+  };
+  constexpr std::uint32_t kNoSlot = ~static_cast<std::uint32_t>(0);
+  const auto before = [](const Ref& a, const Ref& b) {
+    if (a.time != b.time) return a.time < b.time;
+    return a.seq < b.seq;
   };
   std::vector<Ref> live;  // pushed, not yet popped or cancelled
   EventSeq seq = 0;
+  SimTime now = 0;
   int processed = 0;
 
   for (int step = 0; step < steps; ++step) {
     const double dice = rng.next_double();
-    if (live.empty() || dice < 0.5) {
-      const SimTime t = static_cast<double>(rng.next_below(50));
+    std::vector<std::size_t> in_heap;  // indices into `live`
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      if (live[i].slot != kNoSlot) in_heap.push_back(i);
+    }
+    if (live.empty() || dice < 0.35) {
+      // Coarse times force plenty of ties to exercise the seq tiebreak.
+      const SimTime t = now + static_cast<double>(rng.next_below(50));
       const std::uint32_t slot = queue.push(t, seq, [] {});
       live.push_back(Ref{t, seq, slot});
       ++seq;
-    } else if (dice < 0.7) {
-      // Cancel a random live event (never one already cancelled/popped:
-      // that is the documented contract of cancel()).
-      const std::size_t pick = rng.next_below(live.size());
+    } else if (dice < 0.5) {
+      queue.push_now(now, seq, [] {});
+      live.push_back(Ref{now, seq, kNoSlot});
+      ++seq;
+    } else if (dice < 0.7 && !in_heap.empty()) {
+      // Cancel a random live heap event (never one already cancelled or
+      // popped: that is the documented contract of cancel()).
+      const std::size_t pick = in_heap[rng.next_below(in_heap.size())];
       queue.cancel(live[pick].slot, live[pick].seq);
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
       ++processed;
@@ -44,26 +62,25 @@ int fuzz_round_with_cancellation(std::uint64_t seed, int steps) {
       const auto e = queue.pop();
       // Must be the (time, seq) minimum of the *live* set — cancelled
       // events must never surface.
-      auto it = std::min_element(live.begin(), live.end(),
-                                 [](const Ref& a, const Ref& b) {
-                                   if (a.time != b.time) return a.time < b.time;
-                                   return a.seq < b.seq;
-                                 });
+      auto it = std::min_element(live.begin(), live.end(), before);
       EXPECT_EQ(e.time, it->time);
       EXPECT_EQ(e.seq, it->seq);
+      EXPECT_GE(e.time, now);
+      now = e.time;
       live.erase(it);
       ++processed;
     }
     EXPECT_EQ(queue.size(), live.size());
     EXPECT_EQ(queue.empty(), live.empty());
+    // Cancelled keys leave the heap at once: it holds exactly the live
+    // events pushed with push().
+    EXPECT_EQ(queue.heap_size(),
+              static_cast<std::size_t>(std::count_if(
+                  live.begin(), live.end(),
+                  [&](const Ref& r) { return r.slot != kNoSlot; })));
     if (!live.empty()) {
-      const auto expect_min =
-          *std::min_element(live.begin(), live.end(),
-                            [](const Ref& a, const Ref& b) {
-                              if (a.time != b.time) return a.time < b.time;
-                              return a.seq < b.seq;
-                            });
-      EXPECT_EQ(queue.next_time(), expect_min.time);
+      EXPECT_EQ(queue.next_time(),
+                std::min_element(live.begin(), live.end(), before)->time);
     }
     if (::testing::Test::HasFailure()) return processed;
   }

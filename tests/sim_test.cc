@@ -41,6 +41,65 @@ TEST(EventQueue, NextTimeReportsEarliest) {
   EXPECT_DOUBLE_EQ(q.next_time(), 2.5);
 }
 
+TEST(EventQueue, CurrentTimeEventsPopBetweenEarlierAndLaterKeys) {
+  EventQueue q;
+  std::vector<int> order;
+  q.push(5.0, 0, [&] { order.push_back(0); });
+  q.push(5.0, 1, [&] { order.push_back(1); });
+  q.push(6.0, 2, [&] { order.push_back(2); });
+  q.pop().action();  // time is now 5
+  q.push_now(5.0, 3, [&] { order.push_back(3); });
+  q.push(5.0, 4, [&] { order.push_back(4); });
+  q.push_now(5.0, 5, [&] { order.push_back(5); });
+  EXPECT_EQ(q.size(), 5u);
+  EXPECT_EQ(q.heap_size(), 3u);
+  EXPECT_DOUBLE_EQ(q.next_time(), 5.0);
+  while (!q.empty()) q.pop().action();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 3, 4, 5, 2}));
+}
+
+TEST(EventQueue, CancelledTimeoutsLeaveNoKeyInTheHeap) {
+  // The shape of a fault-mode run: every message arms a timeout far in the
+  // future and cancels it when the message lands. A cancelled timeout must
+  // leave the heap at once rather than wait for its deadline to surface.
+  EventQueue q;
+  int fired = 0;
+  q.push(1.0, 0, [&] { ++fired; });
+  constexpr int kTimeouts = 10000;
+  for (int i = 0; i < kTimeouts; ++i) {
+    const auto seq = static_cast<EventSeq>(i + 1);
+    const std::uint32_t slot =
+        q.push(450.0 + static_cast<double>(i), seq, [&] { fired += 100; });
+    q.cancel(slot, seq);
+  }
+  EXPECT_EQ(q.heap_size(), 1u);
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_DOUBLE_EQ(q.next_time(), 1.0);
+  q.pop().action();
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.heap_size(), 0u);
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(Simulation, CurrentTimeWakeUpsRunAfterEarlierSameTimeEvents) {
+  // A wake-up scheduled at now() runs after the same-time events that were
+  // already queued, and before anything scheduled after it — including a
+  // cancellable event at the same time.
+  Simulation sim;
+  std::vector<char> order;
+  sim.schedule_at(5.0, [&] {
+    order.push_back('a');
+    sim.schedule_at(sim.now(), [&] { order.push_back('c'); });
+    (void)sim.schedule_at_cancellable(sim.now(),
+                                      [&] { order.push_back('e'); });
+    sim.schedule_in(0.0, [&] { order.push_back('f'); });
+  });
+  sim.schedule_at(5.0, [&] { order.push_back('b'); });
+  sim.schedule_at(6.0, [&] { order.push_back('g'); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<char>{'a', 'b', 'c', 'e', 'f', 'g'}));
+}
+
 TEST(Simulation, RunsScheduledCallbacksAtTheirTimes) {
   Simulation sim;
   std::vector<double> times;

@@ -352,6 +352,33 @@ TEST(TraceLibrary, HoldsConfiguredMix) {
   EXPECT_EQ(lib.trace_class(9), PairClass::kIntercontinental);
 }
 
+// Pins every sample of the library the benchmarks and sweeps build: an
+// FNV-1a hash over each trace's step and the bit pattern of each value. A
+// change to how the generator computes a sample — even one that moves only
+// the last bit of a double — changes the hash.
+TEST(TraceLibrary, DefaultLibrarySamplesArePinned) {
+  const TraceLibrary lib(TraceLibraryParams{}, 2026);
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  const auto mix = [&hash](double v) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    for (int i = 0; i < 8; ++i) {
+      hash ^= (bits >> (8 * i)) & 0xff;
+      hash *= 0x100000001b3ull;
+    }
+  };
+  std::size_t samples = 0;
+  for (std::size_t i = 0; i < lib.size(); ++i) {
+    const BandwidthTrace& tr = lib.trace(i);
+    mix(tr.step_seconds());
+    for (const double v : tr.values()) mix(v);
+    samples += tr.sample_count();
+  }
+  EXPECT_EQ(lib.size(), 56u);
+  EXPECT_EQ(samples, 56u * 17280u);
+  EXPECT_EQ(hash, 0x4d0319c6f58daab0ull) << std::hex << hash;
+}
+
 TEST(TraceLibrary, SampleIndexCoversPool) {
   const TraceLibrary lib(TraceLibraryParams{}, 1);
   Rng rng(4);

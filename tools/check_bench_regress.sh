@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Release-bench smoke: run the fig6 sweep single-threaded and fail if
-# throughput fell below a floor.
+# Release-bench smoke: run a bench sweep (fig6, fault recovery, cache
+# reuse) single-threaded and fail if throughput fell below a floor.
 #
 # CI runners differ wildly from the machines that produced the committed
 # BENCH_*.json trajectory, so this is a smoke against order-of-magnitude
@@ -8,11 +8,11 @@
 # arena silently disabled), not a precise gate. The floor is deliberately
 # far below any healthy number for the given WADC_CONFIGS.
 #
-# usage: check_bench_regress.sh <fig6 bench binary> <min runs/s> [configs]
+# usage: check_bench_regress.sh <bench binary> <min runs/s> [configs]
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-  echo "usage: $0 <fig6 bench binary> <min runs/s> [configs]" >&2
+  echo "usage: $0 <bench binary> <min runs/s> [configs]" >&2
   exit 2
 fi
 
