@@ -1,8 +1,9 @@
 // Google-benchmark microbenchmarks for the substrate hot paths: the event
 // queue (including cancelled timeouts and current-time wake-ups), trace
 // integration, the branch-and-bound critical path, the one-shot
-// planner, piggyback payload construction, callback dispatch (sim::Callback
-// vs std::function), the parallel sweep runner, and a full end-to-end run.
+// planner, piggyback payload construction, the result cache's evicting
+// insert and replica lookup, callback dispatch (sim::Callback vs
+// std::function), the parallel sweep runner, and a full end-to-end run.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -11,13 +12,23 @@
 #include <thread>
 #include <vector>
 
+#include "cache/cache_config.h"
+#include "cache/cache_key.h"
+#include "cache/fabric.h"
+#include "cache/result_cache.h"
+#include "common/rng.h"
 #include "core/bandwidth_resolver.h"
 #include "core/cost_model.h"
 #include "core/one_shot.h"
 #include "exp/experiment.h"
 #include "monitor/bandwidth_cache.h"
+#include "monitor/monitoring_system.h"
+#include "net/link_table.h"
+#include "net/network.h"
+#include "obs/obs.h"
 #include "sim/callback.h"
 #include "sim/simulation.h"
+#include "trace/bandwidth_trace.h"
 #include "trace/generator.h"
 #include "trace/library.h"
 
@@ -273,6 +284,78 @@ void BM_PiggybackPayload(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PiggybackPayload);
+
+// The result cache at the sessions_cache shape: 8 MiB per host holding
+// 128 KiB results, ~64 per host.
+constexpr std::uint64_t kCacheCapacity = 8ull << 20;
+constexpr double kCacheImageBytes = 128.0 * 1024;
+
+cache::CacheKey bench_key(std::uint64_t i) {
+  return cache::CacheKey{0x9e3779b97f4a7c15ull * (i + 1),
+                         static_cast<std::int32_t>(i % 30)};
+}
+
+// Arg: 0 = lru, 1 = cost. The cache holds exactly 64 entries, so every
+// insert evicts one.
+void BM_ResultCacheInsertAtCapacity(benchmark::State& state) {
+  cache::ResultCache rc(kCacheCapacity, state.range(0) == 0
+                                            ? cache::EvictionPolicy::kLru
+                                            : cache::EvictionPolicy::kCost);
+  Rng rng(7);
+  std::uint64_t next = 0;
+  const auto insert_next = [&] {
+    rc.insert(bench_key(next), workload::ImageSpec{kCacheImageBytes, next},
+              rng.uniform(1, 100), next + 1);
+    ++next;
+  };
+  while (next < 64) insert_next();
+  for (auto _ : state) insert_next();
+  benchmark::DoNotOptimize(rc.entries());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ResultCacheInsertAtCapacity)->Arg(0)->Arg(1);
+
+// Arg: 0 = miss, 1 = hit. Nine hosts (eight servers and a client), ~64
+// results on each server, every key on three servers; the client asks, and
+// ranks the replicas by its bandwidth estimates.
+void BM_CacheFabricLookup(benchmark::State& state) {
+  constexpr int kHosts = 9;
+  constexpr net::HostId kClient = kHosts - 1;
+  constexpr std::uint64_t kKeys = 170;  // 3 replicas each: ~64 per server
+  sim::Simulation sim;
+  const trace::BandwidthTrace trace(10.0, {10000.0});
+  net::LinkTable links(kHosts);
+  for (net::HostId a = 0; a < kHosts; ++a) {
+    for (net::HostId b = a + 1; b < kHosts; ++b) links.set_link(a, b, &trace);
+  }
+  net::Network network(sim, links, net::NetworkParams{});
+  monitor::MonitoringSystem monitoring(network, monitor::MonitorParams{});
+  for (net::HostId h = 0; h < kClient; ++h) {
+    monitoring.cache(kClient).record(kClient, h, 1000.0 * (h + 1), 0);
+  }
+  cache::CacheConfig config;
+  config.enabled = true;
+  config.capacity_bytes = kCacheCapacity;
+  cache::CacheFabric fabric(config, kHosts, &monitoring, obs::Obs{});
+  for (std::uint64_t i = 0; i < kKeys; ++i) {
+    for (const std::uint64_t offset : {0, 3, 5}) {
+      fabric.insert(bench_key(i), workload::ImageSpec{kCacheImageBytes, i},
+                    static_cast<net::HostId>((i + offset) % kClient), 10,
+                    /*now=*/0, /*session=*/0);
+    }
+  }
+  const std::function<bool(net::HostId)> alive = [](net::HostId) {
+    return true;
+  };
+  const std::uint64_t first = state.range(0) == 0 ? kKeys : 0;
+  std::uint64_t i = 0;
+  for (auto _ : state) {
+    const auto hit = fabric.lookup(bench_key(first + i), kClient, alive);
+    benchmark::DoNotOptimize(hit);
+    i = i + 1 == kKeys ? 0 : i + 1;
+  }
+}
+BENCHMARK(BM_CacheFabricLookup)->Arg(0)->Arg(1);
 
 // The parallel sweep runner over worker counts: 1 (serial path), 2, and all
 // hardware threads. Results are byte-identical across worker counts; only

@@ -22,7 +22,7 @@ void mix_u64(std::uint64_t& h, std::uint64_t v) {
 
 }  // namespace
 
-std::uint64_t subtree_signature(std::vector<int> leaf_ids,
+std::uint64_t subtree_signature(std::span<int> leaf_ids,
                                 std::uint64_t structure_digest,
                                 std::string_view op_tag) {
   std::sort(leaf_ids.begin(), leaf_ids.end());

@@ -16,9 +16,10 @@
 // guarantees a hit can never serve a structurally different result.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string_view>
-#include <vector>
 
 namespace wadc::cache {
 
@@ -30,10 +31,20 @@ struct CacheKey {
   friend auto operator<=>(const CacheKey&, const CacheKey&) = default;
 };
 
+// The signature is already a hash; the iteration is folded in so the same
+// subtree at different iterations spreads across buckets.
+struct CacheKeyHash {
+  std::size_t operator()(const CacheKey& key) const {
+    return static_cast<std::size_t>(
+        key.signature ^ (static_cast<std::uint32_t>(key.iteration) *
+                         0x9e3779b97f4a7c15ull));
+  }
+};
+
 // Canonical signature for a subtree result: hashes `op_tag`, then the leaf
-// ids in ascending order (the argument is sorted internally, so any
+// ids in ascending order (`leaf_ids` is sorted in place, so any
 // enumeration order yields the same signature), then `structure_digest`.
-std::uint64_t subtree_signature(std::vector<int> leaf_ids,
+std::uint64_t subtree_signature(std::span<int> leaf_ids,
                                 std::uint64_t structure_digest,
                                 std::string_view op_tag);
 

@@ -62,42 +62,51 @@ const ResultCache& CacheFabric::host_cache(net::HostId host) const {
   return *caches_[static_cast<std::size_t>(host)];
 }
 
+std::size_t CacheFabric::replicas() const {
+  std::size_t total = 0;
+  for (const auto& cache : caches_) total += cache->entries();
+  return total;
+}
+
 std::optional<CacheFabric::Hit> CacheFabric::lookup(
     const CacheKey& key, net::HostId requester,
     const std::function<bool(net::HostId)>& alive) const {
-  const std::vector<net::HostId>* replicas = directory_.replicas(key);
-  if (replicas == nullptr) return std::nullopt;
-
-  net::HostId best = -1;
-  double best_bw = -1;
-  for (const net::HostId h : *replicas) {
-    if (alive && !alive(h)) continue;
+  const auto usable = [&](net::HostId h) -> const ResultCache::Entry* {
     const ResultCache::Entry* entry = host_cache(h).find(key);
-    if (entry == nullptr) continue;  // directory/cache drift is a bug...
-    if (h == requester) {
-      best = h;
-      break;  // a local replica always wins
-    }
-    // Any-age estimate toward the requester; unknown pairs rank slowest.
-    double bw = 0;
-    if (monitoring_ != nullptr) {
-      const auto sample =
-          monitoring_->cache(requester).lookup_any_age(requester, h);
-      if (sample) bw = sample->bandwidth;
-    }
-    if (bw > best_bw) {
-      best_bw = bw;
-      best = h;
-    }
-  }
-  if (best < 0) return std::nullopt;
+    return entry != nullptr && (!alive || alive(h)) ? entry : nullptr;
+  };
 
-  const ResultCache::Entry* entry = host_cache(best).find(key);
-  WADC_ASSERT(entry != nullptr, "replica chosen without an entry");
+  // A live local replica always wins.
+  net::HostId best = requester;
+  const ResultCache::Entry* best_entry = usable(requester);
+  if (best_entry == nullptr) {
+    // Otherwise the best any-age estimate toward the requester, probing
+    // hosts in ascending id so the lower id wins ties; unknown pairs rank
+    // slowest.
+    double best_bw = -1;
+    for (net::HostId h = 0; h < num_hosts(); ++h) {
+      if (h == requester) continue;
+      const ResultCache::Entry* entry = usable(h);
+      if (entry == nullptr) continue;
+      double bw = 0;
+      if (monitoring_ != nullptr) {
+        const auto sample =
+            monitoring_->cache(requester).lookup_any_age(requester, h);
+        if (sample) bw = sample->bandwidth;
+      }
+      if (bw > best_bw) {
+        best_bw = bw;
+        best = h;
+        best_entry = entry;
+      }
+    }
+    if (best_entry == nullptr) return std::nullopt;
+  }
+
   Hit hit;
   hit.replica = best;
-  hit.image = entry->image;
-  hit.recreate_seconds = entry->recreate_seconds;
+  hit.image = best_entry->image;
+  hit.recreate_seconds = best_entry->recreate_seconds;
   hit.local = best == requester;
   return hit;
 }
@@ -127,10 +136,9 @@ void CacheFabric::on_hit(const CacheKey& key, const Hit& hit,
   if (!hit.local && config_.diffusion) {
     // Data diffusion: the result just proved useful here — replicate it at
     // the requester so the next ask is local.
-    const std::vector<CacheKey> evicted = cache_at(requester).insert(
-        key, hit.image, hit.recreate_seconds, ++tick_);
-    if (host_cache(requester).find(key) != nullptr) {
-      directory_.add(key, requester);
+    evicted_.clear();
+    if (cache_at(requester).insert(key, hit.image, hit.recreate_seconds,
+                                   ++tick_, &evicted_)) {
       ++diffusions_;
       if (diffusions_counter_ != nullptr) diffusions_counter_->add();
       if (obs_.decisions != nullptr) {
@@ -142,7 +150,7 @@ void CacheFabric::on_hit(const CacheKey& key, const Hit& hit,
                                 {"bytes", hit.image.bytes}});
       }
     }
-    note_evictions(requester, evicted, now, session);
+    note_evictions(requester, now, session);
     update_host_gauges(requester);
     update_replica_gauge();
   }
@@ -159,23 +167,20 @@ void CacheFabric::on_miss(net::HostId requester) {
 void CacheFabric::insert(const CacheKey& key,
                          const workload::ImageSpec& image, net::HostId host,
                          double recreate_seconds, double now, int session) {
-  const std::vector<CacheKey> evicted =
-      cache_at(host).insert(key, image, recreate_seconds, ++tick_);
-  if (host_cache(host).find(key) != nullptr) {
-    directory_.add(key, host);
+  evicted_.clear();
+  if (cache_at(host).insert(key, image, recreate_seconds, ++tick_,
+                            &evicted_)) {
     ++insertions_;
     if (insertions_counter_ != nullptr) insertions_counter_->add();
   }
-  note_evictions(host, evicted, now, session);
+  note_evictions(host, now, session);
   update_host_gauges(host);
   update_replica_gauge();
 }
 
-void CacheFabric::note_evictions(net::HostId host,
-                                 const std::vector<CacheKey>& evicted,
-                                 double now, int session) {
-  for (const CacheKey& key : evicted) {
-    directory_.remove(key, host);
+void CacheFabric::note_evictions(net::HostId host, double now,
+                                 int session) {
+  for (const CacheKey& key : evicted_) {
     ++evictions_;
     if (evictions_counter_ != nullptr) {
       evictions_counter_->add();
@@ -193,18 +198,19 @@ void CacheFabric::note_evictions(net::HostId host,
 
 void CacheFabric::invalidate_host(net::HostId host, double now) {
   if (host < 0 || static_cast<std::size_t>(host) >= caches_.size()) return;
-  const std::vector<CacheKey> dropped = directory_.drop_host(host);
-  if (dropped.empty()) return;  // repeat notifications are no-ops
-  cache_at(host).clear();
-  invalidated_replicas_ += dropped.size();
+  ResultCache& cache = cache_at(host);
+  const std::size_t dropped = cache.entries();
+  if (dropped == 0) return;  // repeat notifications are no-ops
+  cache.clear();
+  invalidated_replicas_ += dropped;
   if (invalidations_counter_ != nullptr) {
-    invalidations_counter_->add(static_cast<double>(dropped.size()));
+    invalidations_counter_->add(static_cast<double>(dropped));
   }
   if (obs_.decisions != nullptr) {
     obs_.decisions->record(
         now, "cache", "invalidate_host", /*session=*/-1,
         {{"host", host},
-         {"replicas_dropped", static_cast<std::uint64_t>(dropped.size())}});
+         {"replicas_dropped", static_cast<std::uint64_t>(dropped)}});
   }
   update_host_gauges(host);
   update_replica_gauge();
@@ -220,7 +226,7 @@ void CacheFabric::update_host_gauges(net::HostId host) {
 
 void CacheFabric::update_replica_gauge() {
   if (replicas_gauge_ != nullptr) {
-    replicas_gauge_->set(static_cast<double>(directory_.total_replicas()));
+    replicas_gauge_->set(static_cast<double>(replicas()));
   }
 }
 

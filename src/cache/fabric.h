@@ -1,5 +1,5 @@
-// The shared result-cache fabric: per-host ResultCaches, the replica
-// directory, the diffusion policy, and the observability surface.
+// The shared result-cache fabric: per-host ResultCaches, replica choice,
+// the diffusion policy, and the observability surface.
 //
 // One fabric exists per run (exp::run_experiment / run_session_experiment
 // construct it when the spec enables caching) and is shared by every
@@ -9,13 +9,16 @@
 // engines drive it through this narrow API (tools/check_layering.sh pins
 // the boundary).
 //
-// Replica choice: a requester that holds a replica itself is always served
-// locally; otherwise the live replica with the highest bandwidth estimate
-// toward the requester wins (monitor::BandwidthCache samples, any age),
-// with unknown pairs treated as slowest and host id breaking ties. The
-// actual byte movement is the engine's job — the fabric only answers
-// "where from"; the engine reports the outcome back via on_hit/on_miss so
-// metrics reflect results actually served, not lookups attempted.
+// Replicas: a key's replicas are the hosts whose cache holds it; there is
+// no separate directory to keep in step. Replica choice: a requester that
+// holds a live replica itself is always served locally; otherwise the
+// hosts are probed in ascending id and the live replica with the highest
+// bandwidth estimate toward the requester wins (monitor::BandwidthCache
+// samples, any age), with unknown pairs treated as slowest and the lower
+// host id winning ties. The actual byte movement is the engine's job — the
+// fabric only answers "where from"; the engine reports the outcome back
+// via on_hit/on_miss so metrics reflect results actually served, not
+// lookups attempted.
 //
 // Diffusion (on by default): after a remote hit, a copy of the entry is
 // inserted at the requester's host — popular sub-results migrate toward
@@ -23,12 +26,15 @@
 // spirit of the data-diffusion literature (PAPERS.md).
 //
 // Determinism: all recency/eviction ordering uses a fabric-local logical
-// tick, every container is ordered, and the fabric is driven only from
-// simulation events, so cache behavior is byte-identical for any --jobs
-// value. A null fabric pointer (cache disabled) leaves every engine code
-// path and all observability output exactly as before.
+// tick, eviction breaks every tie by key, no hash-container order reaches
+// an output (the per-host caches are hash maps, but nothing iterates
+// them), replica choice walks host ids in order, and the fabric is driven
+// only from simulation events, so cache behavior is byte-identical for any
+// --jobs value. A null fabric pointer (cache disabled) leaves every engine
+// code path and all observability output exactly as before.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -37,7 +43,6 @@
 
 #include "cache/cache_config.h"
 #include "cache/cache_key.h"
-#include "cache/replica_directory.h"
 #include "cache/result_cache.h"
 #include "net/types.h"
 #include "obs/obs.h"
@@ -96,7 +101,8 @@ class CacheFabric {
   const CacheConfig& config() const { return config_; }
   int num_hosts() const { return static_cast<int>(caches_.size()); }
   const ResultCache& host_cache(net::HostId host) const;
-  const ReplicaDirectory& directory() const { return directory_; }
+  // Replicas held across all hosts (the cache.replicas gauge).
+  std::size_t replicas() const;
 
   // Raw totals (mirrors of the obs counters, available without a registry).
   std::uint64_t hits() const { return hits_; }
@@ -117,18 +123,17 @@ class CacheFabric {
   };
 
   ResultCache& cache_at(net::HostId host);
-  // Applies one eviction batch from an insert at `host` to the directory,
-  // counters and decision log.
-  void note_evictions(net::HostId host, const std::vector<CacheKey>& evicted,
-                      double now, int session);
+  // Applies the eviction batch in evicted_, from an insert at `host`, to
+  // the counters and decision log.
+  void note_evictions(net::HostId host, double now, int session);
   void update_host_gauges(net::HostId host);
   void update_replica_gauge();
 
   CacheConfig config_;
   const monitor::MonitoringSystem* monitoring_;
   std::vector<std::unique_ptr<ResultCache>> caches_;
-  ReplicaDirectory directory_;
   std::uint64_t tick_ = 0;  // logical recency clock
+  std::vector<CacheKey> evicted_;  // one insert's victims, reused
 
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

@@ -6,12 +6,19 @@
 // supplied by the caller (the fabric's monotonic use counter), never wall
 // or simulated time, so eviction order is exactly reproducible.
 //
+// Entries live in a hash map; an indexed binary heap orders them for
+// eviction under the policy's total order — (recreate_seconds, last_use,
+// key) for kCost, (last_use, key) for kLru — so find is O(1) and insert,
+// touch and erase are O(log n). The key makes the order total, so the
+// victim never depends on hash-map layout.
+//
 // This type is deliberately dumb storage: replica placement, diffusion,
 // observability and bandwidth-awareness all live a layer up in CacheFabric.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
+#include <unordered_map>
 #include <vector>
 
 #include "cache/cache_config.h"
@@ -36,6 +43,9 @@ class ResultCache {
       : capacity_bytes_(static_cast<double>(capacity_bytes)),
         policy_(policy) {}
 
+  ResultCache(const ResultCache&) = delete;  // the heap points into entries_
+  ResultCache& operator=(const ResultCache&) = delete;
+
   // Null if absent. The pointer is invalidated by any mutating call.
   const Entry* find(const CacheKey& key) const;
 
@@ -43,12 +53,13 @@ class ResultCache {
   void touch(const CacheKey& key, std::uint64_t tick);
 
   // Inserts (or refreshes) an entry, evicting per policy until it fits;
-  // returns the evicted keys in eviction order. An image larger than the
-  // whole capacity is not admitted (the returned vector is empty and the
-  // cache is unchanged; admitted() reports false via find()).
-  std::vector<CacheKey> insert(const CacheKey& key,
-                               const workload::ImageSpec& image,
-                               double recreate_seconds, std::uint64_t tick);
+  // appends the evicted keys to `evicted`, when given, in eviction order.
+  // Returns whether `key` is cached afterwards: an image larger than the
+  // whole capacity is not admitted (nothing is evicted and the cache is
+  // unchanged).
+  bool insert(const CacheKey& key, const workload::ImageSpec& image,
+              double recreate_seconds, std::uint64_t tick,
+              std::vector<CacheKey>* evicted = nullptr);
 
   // True if the entry existed.
   bool erase(const CacheKey& key);
@@ -60,13 +71,27 @@ class ResultCache {
   EvictionPolicy policy() const { return policy_; }
 
  private:
-  // The key the policy would evict next; entries_ must be non-empty.
-  CacheKey pick_victim() const;
+  struct Slot {
+    Entry entry;
+    std::size_t heap_index = 0;  // position in heap_
+  };
+  using Map = std::unordered_map<CacheKey, Slot, CacheKeyHash>;
+  using Item = Map::value_type;
+
+  // True if `a` is evicted before `b` under the policy's total order.
+  bool evicts_before(const Item& a, const Item& b) const;
+  void place(std::size_t index, Item* item);
+  void sift_up(std::size_t index);
+  void sift_down(std::size_t index);
+  // Restores heap order after the item at `index` changed its order key.
+  void reorder(std::size_t index);
+  void erase_item(Map::iterator it);
 
   double capacity_bytes_;
   EvictionPolicy policy_;
   double bytes_used_ = 0;
-  std::map<CacheKey, Entry> entries_;
+  Map entries_;  // element addresses are stable, so heap_ can point at them
+  std::vector<Item*> heap_;  // heap_[0] is the next victim
 };
 
 }  // namespace wadc::cache

@@ -144,9 +144,10 @@ class Engine : private EngineServices {
   // ---- result cache (active only when params_.cache_fabric is set) ------
   // Content-addressed key for the result of subtree `c` at `iteration`
   // (canonical hash over its sorted leaf ids + operator tag + the lineage
-  // digest the subtree must produce; see cache/cache_key.h).
+  // digest the subtree must produce; see cache/cache_key.h). Collects the
+  // leaves into key_leaves_.
   cache::CacheKey subtree_cache_key(const core::CombinationTree& tree,
-                                    const core::Child& c, int iteration) const;
+                                    const core::Child& c, int iteration);
   // Fetches a cached result toward `requester` from the nearest live
   // replica (instant when local). nullopt on miss or failed fetch — the
   // caller then takes the normal recompute path; nothing was pruned yet.
@@ -267,6 +268,7 @@ class Engine : private EngineServices {
   // Shared result-cache fabric; null = caching disabled (byte-identical
   // baseline). See engine_params.h.
   cache::CacheFabric* cache_ = nullptr;
+  std::vector<int> key_leaves_;  // subtree_cache_key's buffer, reused
   bool faults_active_ = false;
   bool aborted_ = false;
 

@@ -163,6 +163,33 @@ TEST(CacheEngine, FaultedSessionsSurviveAZeroByteTransfer) {
   EXPECT_EQ(stats.shed_count(), 2);
 }
 
+TEST(CacheEngine, ClientKeysDeliveredResultByTheTreeThatBuiltIt) {
+  // On this configuration global-order change-overs switch iterations to
+  // a new combination order while the client's demand for them is in
+  // flight. The client must insert each delivered result under the key of
+  // the tree that built it, as computed on arrival, not the key it looked
+  // up before demanding: keyed by the old tree, the same run makes 100
+  // hits and 483 evictions, not 103 and 481.
+  obs::MetricsRegistry metrics;
+  ExperimentSpec spec;
+  spec.algorithm = core::AlgorithmKind::kGlobalOrder;
+  spec.num_servers = 3;
+  spec.iterations = 60;
+  spec.relocation_period_seconds = 100;
+  spec.config_seed = 2120;
+  spec.cache = cache::parse_cache_spec("capacity=1m,policy=cost");
+  spec.fault = fault::parse_fault_spec(
+      "crash 2 300 900\nblackout 1 3 200 500\ndrop 0.01\n");
+  spec.obs.metrics = &metrics;
+  const session::SessionStats stats = run_session_experiment(
+      shared_library(), spec,
+      session::parse_session_spec("session 0 id=0\nsession 120 id=1\n"
+                                  "session 240 id=2\nsession 360 id=3\n"));
+  EXPECT_EQ(stats.completed_count(), 4);
+  EXPECT_EQ(metrics.counter("cache.hits").value(), 103);
+  EXPECT_EQ(metrics.counter("cache.evictions").value(), 481);
+}
+
 TEST(CacheEngine, CrashedReplicaHostIsInvalidatedAndRecomputed) {
   obs::MetricsRegistry metrics;
   ExperimentSpec spec = cached_spec(core::AlgorithmKind::kGlobal, 26);
