@@ -1,12 +1,12 @@
 // Extension: saturation capacity of the session runtime under overload
 // control. An open-loop Poisson source ramps the arrival rate (doubling per
 // step) over one shared network and the harness compares admission policies:
-// unbounded admission, bandwidth-aware deferral, load shedding, deadline-
-// aware rejection, and graceful degradation. For each (policy, rate) cell it
-// reports goodput (completed sessions per simulated hour), the p95 response
-// time of *admitted* sessions, and the shed/deferred/degraded fractions —
-// the saturation curves of docs/EXPERIMENTS.md — and writes them as JSON
-// (default BENCH_ext_capacity.json, deterministic for any --jobs value).
+// unbounded admission, load shedding and deadline-aware rejection. For each
+// (policy, rate) cell it reports goodput (completed sessions per simulated
+// hour), the p95 response time of *admitted* sessions, and the shed/deferred
+// fractions — the saturation curves of EXPERIMENTS.md — and writes them as
+// JSON (default BENCH_ext_capacity.json, deterministic for any --jobs
+// value).
 //
 // The ramp is anchored to the measured unloaded response time: a solo
 // baseline run per configuration yields the unloaded mean/p95, the first
@@ -54,7 +54,6 @@ struct CurvePoint {
   double p95_response_seconds = 0;
   double shed_fraction = 0;
   double deferred_fraction = 0;
-  double degraded_fraction = 0;
 };
 
 }  // namespace
@@ -140,12 +139,6 @@ int main(int argc, char** argv) {
     p.admission.policy = session::AdmissionPolicy::kUnbounded;
     policies.push_back(p);
 
-    p = PolicyUnderTest{};
-    p.name = "bandwidth";
-    p.admission.policy = session::AdmissionPolicy::kBandwidthAware;
-    p.admission.min_bandwidth = 30e3;
-    policies.push_back(p);
-
     // One at a time, no queue: the classic loss system. Two concurrent
     // sessions split the same client NIC and each take twice as long, so
     // cap 1 gives the same goodput with an unloaded-shaped response tail.
@@ -160,12 +153,6 @@ int main(int argc, char** argv) {
     p.name = "deadline";
     p.admission.policy = session::AdmissionPolicy::kDeadlineAware;
     p.admission.deadline_seconds = 1.6 * unloaded_p95;
-    policies.push_back(p);
-
-    p = PolicyUnderTest{};
-    p.name = "degrade";
-    p.admission.policy = session::AdmissionPolicy::kDegrading;
-    p.admission.max_concurrent = 2;
     policies.push_back(p);
   }
   const int num_policies = static_cast<int>(policies.size());
@@ -192,7 +179,7 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(num_policies));
   for (int p = 0; p < num_policies; ++p) {
     for (int k = 0; k < steps; ++k) {
-      std::vector<double> goodput, p95, shed, deferred, degraded;
+      std::vector<double> goodput, p95, shed, deferred;
       for (int c = 0; c < configs; ++c) {
         const session::SessionStats& st = outcomes[static_cast<std::size_t>(
             (p * steps + k) * configs + c)];
@@ -201,7 +188,6 @@ int main(int argc, char** argv) {
         p95.push_back(st.p95_response_seconds());
         shed.push_back(st.shed_fraction());
         deferred.push_back(st.deferred_count() / n);
-        degraded.push_back(st.degraded_count() / n);
       }
       CurvePoint pt;
       pt.rate_per_hour = rates[static_cast<std::size_t>(k)];
@@ -209,7 +195,6 @@ int main(int argc, char** argv) {
       pt.p95_response_seconds = trace::mean_of(p95);
       pt.shed_fraction = trace::mean_of(shed);
       pt.deferred_fraction = trace::mean_of(deferred);
-      pt.degraded_fraction = trace::mean_of(degraded);
       curves[static_cast<std::size_t>(p)].push_back(pt);
     }
   }
@@ -227,17 +212,16 @@ int main(int argc, char** argv) {
   const double saturation_rate = rates[static_cast<std::size_t>(saturation_step)];
 
   std::printf("policy\trate_per_hour\tx_saturation\tgoodput_per_hour\t"
-              "p95_response_s\tshed_frac\tdeferred_frac\tdegraded_frac\n");
+              "p95_response_s\tshed_frac\tdeferred_frac\n");
   for (int p = 0; p < num_policies; ++p) {
     for (int k = 0; k < steps; ++k) {
       const CurvePoint& pt = curves[static_cast<std::size_t>(p)][
           static_cast<std::size_t>(k)];
-      std::printf("%s\t%.2f\t%.2f\t%.2f\t%.1f\t%.3f\t%.3f\t%.3f\n",
+      std::printf("%s\t%.2f\t%.2f\t%.2f\t%.1f\t%.3f\t%.3f\n",
                   policies[static_cast<std::size_t>(p)].name,
                   pt.rate_per_hour, pt.rate_per_hour / saturation_rate,
                   pt.goodput_per_hour, pt.p95_response_seconds,
-                  pt.shed_fraction, pt.deferred_fraction,
-                  pt.degraded_fraction);
+                  pt.shed_fraction, pt.deferred_fraction);
     }
     std::fflush(stdout);
   }
@@ -293,8 +277,7 @@ int main(int argc, char** argv) {
             << ", \"goodput_per_hour\": " << pt.goodput_per_hour
             << ", \"p95_response_seconds\": " << pt.p95_response_seconds
             << ", \"shed_fraction\": " << pt.shed_fraction
-            << ", \"deferred_fraction\": " << pt.deferred_fraction
-            << ", \"degraded_fraction\": " << pt.degraded_fraction << "}"
+            << ", \"deferred_fraction\": " << pt.deferred_fraction << "}"
             << (k + 1 < steps ? "," : "") << "\n";
         }
         f << "    ]}" << (p + 1 < num_policies ? "," : "") << "\n";

@@ -92,9 +92,7 @@ Engine::Engine(sim::Simulation& sim, net::Network& network,
       cache_(params.cache_fabric),
       faults_active_(params.fault_injector != nullptr),
       obs_(params.obs),
-      policy_(make_adaptation_policy(params.degraded_mode
-                                         ? core::AlgorithmKind::kOneShot
-                                         : params.algorithm)),
+      policy_(make_adaptation_policy(params.algorithm)),
       uses_directory_(policy_->uses_directory()),
       uses_barrier_(policy_->uses_barrier()),
       adapts_order_(policy_->adapts_order()),

@@ -57,14 +57,6 @@ struct EngineParams {
   // Seed for engine-local randomness (the local rule's k extra sites).
   std::uint64_t seed = 1;
 
-  // Degraded (overload) mode: the engine runs the cheap one-shot placement
-  // regardless of `algorithm` — no monitoring-driven change-over, no
-  // periodic relocation traffic. The graceful-degradation admission policy
-  // sets this for sessions admitted beyond its cap, trading per-session
-  // adaptation quality for aggregate survival under overload. `algorithm`
-  // is left untouched so reports still show what the session asked for.
-  bool degraded_mode = false;
-
   // Query-session id under the multi-client session runtime (wadc_session).
   // Tags every transfer this engine issues so shared-network traces and
   // metrics can be attributed per session. -1 (the default) leaves

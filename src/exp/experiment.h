@@ -62,8 +62,8 @@ struct ExperimentSpec {
   // below, and the run stack points fault_injector and cache_fabric at the
   // run's own. What is left to set here are the ablation knobs:
   // control_priority, oracle_bandwidth, merge_rule and
-  // order_adoption_threshold (the session runtime sets degraded_mode and
-  // session_id per session).
+  // order_adoption_threshold (the session runtime sets session_id per
+  // session).
   dataflow::EngineParams engine_base;
 
   // Seed identifying the network configuration (the trace→link assignment)

@@ -123,7 +123,6 @@ void write_sessions_json(const session::SessionStats& stats,
   out << "  \"admitted\": " << stats.admitted_count() << ",\n";
   out << "  \"shed\": " << stats.shed_count() << ",\n";
   out << "  \"deferred\": " << stats.deferred_count() << ",\n";
-  out << "  \"degraded\": " << stats.degraded_count() << ",\n";
   out << "  \"shed_fraction\": " << stats.shed_fraction() << ",\n";
   out << "  \"mean_response_seconds\": " << stats.mean_response_seconds()
       << ",\n";
@@ -146,8 +145,7 @@ void write_sessions_json(const session::SessionStats& stats,
         << ", \"end_seconds\": " << s.end_seconds << ", \"completed\": "
         << (s.completed ? "true" : "false") << ", \"shed\": "
         << (s.shed ? "true" : "false") << ", \"deferred\": "
-        << (s.deferred ? "true" : "false") << ", \"degraded\": "
-        << (s.degraded ? "true" : "false") << ", \"images\": " << s.images
+        << (s.deferred ? "true" : "false") << ", \"images\": " << s.images
         << ", \"queue_seconds\": " << s.queue_seconds()
         << ", \"response_seconds\": " << s.response_seconds()
         << ", \"deadline_seconds\": " << s.deadline_seconds

@@ -4,20 +4,6 @@
 
 namespace wadc::session {
 
-const char* admission_outcome_name(AdmissionOutcome outcome) {
-  switch (outcome) {
-    case AdmissionOutcome::kAdmit:
-      return "admit";
-    case AdmissionOutcome::kAdmitDegraded:
-      return "degrade";
-    case AdmissionOutcome::kDefer:
-      return "defer";
-    case AdmissionOutcome::kShed:
-      return "shed";
-  }
-  return "?";
-}
-
 AdmissionController::AdmissionController(const AdmissionParams& params,
                                          SignalsProbe probe,
                                          const ResponsePredictor* predictor)
@@ -26,38 +12,10 @@ AdmissionController::AdmissionController(const AdmissionParams& params,
 LoadSignals AdmissionController::signals() const {
   LoadSignals s = probe_ ? probe_() : LoadSignals{};
   s.running = running_;
-  s.queued = queued();
   return s;
 }
 
-bool AdmissionController::may_start(sim::SimTime now,
-                                    sim::SimTime queued_at) const {
-  switch (params_.policy) {
-    case AdmissionPolicy::kUnbounded:
-    case AdmissionPolicy::kDeadlineAware:
-    case AdmissionPolicy::kDegrading:
-      return true;
-    case AdmissionPolicy::kFixedCap:
-    case AdmissionPolicy::kLoadShedding:
-      return running_ < params_.max_concurrent;
-    case AdmissionPolicy::kBandwidthAware: {
-      // Forward progress, twice over: an idle system always admits, and a
-      // session that has waited out the deferral bound is force-admitted —
-      // congestion may delay it but can never starve it.
-      if (running_ == 0) return true;
-      if (now - queued_at >= params_.max_defer_seconds) return true;
-      const std::optional<double> bw =
-          probe_ ? probe_().client_bandwidth : std::nullopt;
-      // No fresh measurement is no evidence of congestion; admit and let
-      // passive monitoring of the session's own traffic settle the question
-      // by the next decision point.
-      return !bw.has_value() || *bw >= params_.min_bandwidth;
-    }
-  }
-  return true;
-}
-
-AdmissionDecision AdmissionController::request(int id, sim::SimTime now,
+AdmissionDecision AdmissionController::request(int id,
                                                double deadline_seconds) {
   AdmissionDecision d;
   switch (params_.policy) {
@@ -72,15 +30,6 @@ AdmissionDecision AdmissionController::request(int id, sim::SimTime now,
       } else {
         d.outcome = AdmissionOutcome::kDefer;
         d.reason = "cap-full";
-      }
-      break;
-    case AdmissionPolicy::kBandwidthAware:
-      if (may_start(now, now)) {
-        d.outcome = AdmissionOutcome::kAdmit;
-        d.reason = "bandwidth-clear";
-      } else {
-        d.outcome = AdmissionOutcome::kDefer;
-        d.reason = "bandwidth-low";
       }
       break;
     case AdmissionPolicy::kLoadShedding:
@@ -129,23 +78,13 @@ AdmissionDecision AdmissionController::request(int id, sim::SimTime now,
       }
       break;
     }
-    case AdmissionPolicy::kDegrading:
-      if (running_ < params_.max_concurrent) {
-        d.outcome = AdmissionOutcome::kAdmit;
-        d.reason = "cap-free";
-      } else {
-        d.outcome = AdmissionOutcome::kAdmitDegraded;
-        d.reason = "over-cap";
-      }
-      break;
   }
   switch (d.outcome) {
     case AdmissionOutcome::kAdmit:
-    case AdmissionOutcome::kAdmitDegraded:
       ++running_;
       break;
     case AdmissionOutcome::kDefer:
-      queue_.push_back({id, now});
+      queue_.push_back(id);
       break;
     case AdmissionOutcome::kShed:
       break;
@@ -153,31 +92,17 @@ AdmissionDecision AdmissionController::request(int id, sim::SimTime now,
   return d;
 }
 
-std::vector<int> AdmissionController::drain_queue(sim::SimTime now) {
+std::vector<int> AdmissionController::on_completed() {
+  --running_;
+  // Only cap and shed ever queue, and both start a queued session whenever
+  // a slot is free.
   std::vector<int> admitted;
-  while (!queue_.empty() && may_start(now, queue_.front().queued_at)) {
-    admitted.push_back(queue_.front().id);
+  while (!queue_.empty() && running_ < params_.max_concurrent) {
+    admitted.push_back(queue_.front());
     queue_.pop_front();
     ++running_;
   }
   return admitted;
-}
-
-std::vector<int> AdmissionController::on_completed(sim::SimTime now) {
-  --running_;
-  return drain_queue(now);
-}
-
-std::vector<int> AdmissionController::on_recheck(sim::SimTime now) {
-  return drain_queue(now);
-}
-
-std::optional<sim::SimTime> AdmissionController::next_forced_admit() const {
-  if (params_.policy != AdmissionPolicy::kBandwidthAware || queue_.empty()) {
-    return std::nullopt;
-  }
-  // FIFO: the head of the queue has waited longest.
-  return queue_.front().queued_at + params_.max_defer_seconds;
 }
 
 }  // namespace wadc::session

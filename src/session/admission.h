@@ -1,19 +1,12 @@
 // Admission control for concurrent query sessions.
 //
-// The controller decides, for each arriving session, one of four outcomes
-// (the overload taxonomy of session/overload.h): admit now, admit in
-// degraded engine mode, defer to the FIFO queue, or shed outright. Six
-// policies (session_spec.h):
+// The controller decides, for each arriving session, one of three outcomes
+// (the overload taxonomy of session/overload.h): admit now, defer to the
+// FIFO queue, or shed outright. Four policies (session_spec.h):
 //
 //   unbounded  — every session starts on arrival;
 //   cap N      — at most N sessions run concurrently; arrivals beyond the
 //                cap queue and start, in arrival order, as runners finish;
-//   bandwidth  — a session is deferred while the measured client-link
-//                bandwidth sits below a threshold. Forward progress is
-//                guaranteed twice over: the policy always admits when
-//                nothing is running, and a deferred session is force-
-//                admitted once it has waited max_defer_seconds — deferral
-//                is bounded, never starvation;
 //   shed M Q   — load shedding: at most M running, at most Q queued behind
 //                them; an arrival that fits neither is shed — an explicit,
 //                immediate rejection instead of an unbounded queue;
@@ -25,42 +18,34 @@
 //                system admits (nothing to contend with, and the session's
 //                own traffic warms the bandwidth cache), a busy one sheds —
 //                admitting blind into existing load is how cold-start
-//                pileups blow every deadline at once;
-//   degrade M  — graceful degradation: beyond M running sessions, arrivals
-//                are still admitted but in degraded engine mode (one-shot
-//                placement, no adaptive change-over).
+//                pileups blow every deadline at once.
 //
 // The controller is pure bookkeeping — it never touches the simulation. The
-// SessionManager drives it from arrival events, session-completion
-// callbacks, and (for the bandwidth policy) periodic recheck events, and
-// supplies the backpressure snapshot through the signals probe.
+// SessionManager drives it from arrival events and session-completion
+// callbacks, and supplies the backpressure snapshot through the signals
+// probe.
 #pragma once
 
 #include <deque>
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "session/overload.h"
 #include "session/session_spec.h"
-#include "sim/types.h"
 
 namespace wadc::session {
 
 // What the controller decided for one arriving session.
 enum class AdmissionOutcome {
-  kAdmit,          // start now, full fidelity
-  kAdmitDegraded,  // start now, degraded (one-shot) engine mode
-  kDefer,          // park in the FIFO queue
-  kShed,           // reject outright; the session never runs
+  kAdmit,  // start now
+  kDefer,  // park in the FIFO queue
+  kShed,   // reject outright; the session never runs
 };
-
-const char* admission_outcome_name(AdmissionOutcome outcome);
 
 struct AdmissionDecision {
   AdmissionOutcome outcome = AdmissionOutcome::kAdmit;
   // Static-string rationale for the DecisionLog ("unbounded", "cap-free",
-  // "queue-full", "predicted-miss", "over-cap", ...).
+  // "queue-full", "predicted-miss", ...).
   const char* reason = "";
   // Predicted response time behind the decision; < 0 when no prediction
   // was made (non-deadline policies, or no bandwidth estimate).
@@ -69,8 +54,8 @@ struct AdmissionDecision {
 
 class AdmissionController {
  public:
-  // Returns the current backpressure snapshot (running/queued are filled in
-  // by the controller itself; the probe supplies the network-side fields).
+  // Returns the current backpressure snapshot (running is filled in by the
+  // controller itself; the probe supplies the network-side fields).
   using SignalsProbe = std::function<LoadSignals()>;
 
   // `predictor` is consulted by the deadline policy only; may be null (no
@@ -83,51 +68,29 @@ class AdmissionController {
 
   const AdmissionParams& params() const { return params_; }
 
-  // An arriving session asks to start at simulated time `now`.
-  // `deadline_seconds` is the session's own deadline (0 = the policy
-  // default). kAdmit / kAdmitDegraded count the session as running;
-  // kDefer queues it (it comes back from on_completed / on_recheck);
-  // kShed drops it — the controller forgets it immediately.
-  AdmissionDecision request(int id, sim::SimTime now,
-                            double deadline_seconds = 0);
+  // An arriving session asks to start. `deadline_seconds` is the session's
+  // own deadline (0 = the policy default). kAdmit counts the session as
+  // running; kDefer queues it (it comes back from on_completed); kShed
+  // drops it — the controller forgets it immediately.
+  AdmissionDecision request(int id, double deadline_seconds = 0);
 
   // A running session finished. Returns the queued sessions admitted now,
   // in arrival order (each counted as running again).
-  std::vector<int> on_completed(sim::SimTime now);
-
-  // Periodic re-evaluation for the bandwidth policy. Returns the queued
-  // sessions admitted now, in arrival order.
-  std::vector<int> on_recheck(sim::SimTime now);
+  std::vector<int> on_completed();
 
   int running() const { return running_; }
   int queued() const { return static_cast<int>(queue_.size()); }
 
-  // Earliest time a queued session hits its deferral bound and will be
-  // force-admitted (the manager schedules a recheck no later than this);
-  // nullopt when the queue is empty or the policy never force-admits.
-  std::optional<sim::SimTime> next_forced_admit() const;
-
   // The backpressure snapshot as the controller would assemble it now
-  // (probe fields plus its own running/queued counts).
+  // (probe fields plus its own running count).
   LoadSignals signals() const;
 
  private:
-  struct Queued {
-    int id;
-    sim::SimTime queued_at;
-  };
-
-  // May a queued or arriving session start right now? (Policies without a
-  // queue — unbounded, shed, deadline, degrade — never consult this for
-  // arrivals; it drives queue drains.)
-  bool may_start(sim::SimTime now, sim::SimTime queued_at) const;
-  std::vector<int> drain_queue(sim::SimTime now);
-
   AdmissionParams params_;
   SignalsProbe probe_;
   const ResponsePredictor* predictor_;
   int running_ = 0;
-  std::deque<Queued> queue_;
+  std::deque<int> queue_;  // deferred session ids, in arrival order
 };
 
 }  // namespace wadc::session

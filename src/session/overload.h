@@ -13,12 +13,9 @@
 // Outcome taxonomy (docs/SESSIONS.md): every arriving session ends in
 // exactly one admission outcome —
 //
-//   admitted  — started immediately at full fidelity;
-//   degraded  — started immediately, but with its engine forced into the
-//               cheap one-shot mode (no adaptive change-over);
-//   deferred  — parked in the FIFO queue; later re-decided (every deferral
-//               is eventually followed by an admission, bounded by
-//               AdmissionParams::max_defer_seconds);
+//   admitted  — started immediately;
+//   deferred  — parked in the FIFO queue behind a cap; admitted in arrival
+//               order as running sessions finish;
 //   shed      — rejected outright; the session never runs and its client
 //               gets an immediate, explicit failure instead of an
 //               unbounded queue wait.
@@ -29,17 +26,14 @@
 namespace wadc::session {
 
 // Backpressure snapshot the SessionManager assembles for each admission
-// decision: controller-side queue state plus shared-network load. All
+// decision: the controller's running count plus shared-network load. All
 // fields derive from simulation state, so decisions stay deterministic.
 struct LoadSignals {
   int running = 0;  // sessions currently admitted and not yet finished
-  int queued = 0;   // sessions parked in the admission queue
   // Bytes committed to in-flight transfers on the shared network — the
   // aggregate backlog every new session's traffic lines up behind.
   double inflight_bytes = 0;
-  // Queued (not yet started) transfers touching the client host's NIC.
-  int client_nic_queue = 0;
-  // Mean fresh client<->server bandwidth estimate from the client host's
+  // Slowest fresh client<->server bandwidth estimate from the client host's
   // BandwidthCache (B/s); nullopt when nothing fresh is cached.
   std::optional<double> client_bandwidth;
 };
@@ -56,8 +50,7 @@ struct LoadSignals {
 //             (messages * startup + transfer_bytes / bw)
 //
 // No fresh bandwidth measurement means no prediction (nullopt): absence of
-// evidence is not evidence of congestion, matching the bandwidth-aware
-// policy's long-standing rule.
+// evidence is not evidence of congestion.
 class ResponsePredictor {
  public:
   ResponsePredictor(double transfer_bytes, int messages,

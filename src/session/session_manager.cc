@@ -57,7 +57,6 @@ SessionManager::SessionManager(sim::Simulation& sim, net::Network& network,
     admitted_counter_ = &obs_.metrics->counter("session.admitted");
     deferred_counter_ = &obs_.metrics->counter("session.deferred");
     shed_counter_ = &obs_.metrics->counter("session.shed");
-    degraded_counter_ = &obs_.metrics->counter("session.degraded");
     completed_counter_ = &obs_.metrics->counter("session.completed");
     queue_seconds_hist_ = &obs_.metrics->histogram(
         "session.queue_seconds", obs::exponential_buckets(1, 2, 24));
@@ -116,9 +115,8 @@ std::optional<double> SessionManager::client_link_bandwidth() const {
 }
 
 LoadSignals SessionManager::load_signals() const {
-  LoadSignals s;  // running/queued are filled in by the controller
+  LoadSignals s;  // running is filled in by the controller
   s.inflight_bytes = network_.inflight_bytes();
-  s.client_nic_queue = network_.host_pending_transfers(tree_.client_host());
   s.client_bandwidth = client_link_bandwidth();
   return s;
 }
@@ -179,16 +177,12 @@ void SessionManager::begin_session(int client, int spec_id,
   if (arrivals_counter_) arrivals_counter_->add();
   trace_session_event("arrive", id);
 
-  const AdmissionDecision d = admission_.request(id, sim_.now(),
-                                                 deadline_seconds);
+  const AdmissionDecision d = admission_.request(id, deadline_seconds);
   sessions_[static_cast<std::size_t>(id)].record.predicted_response_seconds =
       d.predicted_response_seconds;
   switch (d.outcome) {
     case AdmissionOutcome::kAdmit:
-      admit(id, /*degraded=*/false, d.reason, d.predicted_response_seconds);
-      break;
-    case AdmissionOutcome::kAdmitDegraded:
-      admit(id, /*degraded=*/true, d.reason, d.predicted_response_seconds);
+      admit(id, d.reason, d.predicted_response_seconds);
       break;
     case AdmissionOutcome::kDefer:
       sessions_[static_cast<std::size_t>(id)].record.deferred = true;
@@ -200,7 +194,6 @@ void SessionManager::begin_session(int client, int spec_id,
                                 {"queued", admission_.queued()},
                                 {"running", admission_.running()}});
       }
-      maybe_schedule_recheck();
       break;
     case AdmissionOutcome::kShed:
       sessions_[static_cast<std::size_t>(id)].record.shed = true;
@@ -219,20 +212,17 @@ void SessionManager::begin_session(int client, int spec_id,
   }
 }
 
-void SessionManager::admit(int id, bool degraded, const char* reason,
+void SessionManager::admit(int id, const char* reason,
                            double predicted_seconds) {
   Session& s = sessions_[static_cast<std::size_t>(id)];
   s.record.admit_seconds = sim_.now();
-  s.record.degraded = degraded;
   if (admitted_counter_) admitted_counter_->add();
-  if (degraded && degraded_counter_) degraded_counter_->add();
   if (queue_seconds_hist_) {
     queue_seconds_hist_->observe(s.record.queue_seconds());
   }
-  trace_session_event(degraded ? "degrade" : "admit", id);
+  trace_session_event("admit", id);
   if (obs_.decisions) {
-    obs_.decisions->record(sim_.now(), "admission",
-                           degraded ? "degrade" : "admit", id,
+    obs_.decisions->record(sim_.now(), "admission", "admit", id,
                            {{"reason", reason},
                             {"predicted_s", predicted_seconds},
                             {"queue_s", s.record.queue_seconds()},
@@ -243,7 +233,6 @@ void SessionManager::admit(int id, bool degraded, const char* reason,
   dataflow::EngineParams params = engine_base_;
   params.session_id = id;
   params.seed = session_seed(id);
-  params.degraded_mode = degraded;
   s.engine = std::make_unique<dataflow::Engine>(sim_, network_, monitoring_,
                                                 tree_, workload_, params);
   s.engine->start_detached([this, id] { on_session_done(id); });
@@ -282,10 +271,9 @@ void SessionManager::on_session_done(int id) {
   // a growing per-image history copy.
   maybe_issue_next_query(s.record.client);
 
-  for (const int next : admission_.on_completed(sim_.now())) {
-    admit(next, /*degraded=*/false, "dequeued", -1);
+  for (const int next : admission_.on_completed()) {
+    admit(next, "dequeued", -1);
   }
-  maybe_schedule_recheck();
 
   if (finished_ == total_) sim_.request_stop();
 }
@@ -297,32 +285,6 @@ void SessionManager::maybe_issue_next_query(int client) {
     sim_.schedule_in(spec_.think_seconds,
                      [this, client] { begin_session(client, -1, 0); });
   }
-}
-
-void SessionManager::maybe_schedule_recheck() {
-  if (spec_.admission.policy != AdmissionPolicy::kBandwidthAware) return;
-  if (recheck_pending_ || admission_.queued() == 0) return;
-  recheck_pending_ = true;
-  double delay = spec_.admission.recheck_seconds;
-  // Never sleep past the queue head's deferral bound: the recheck that
-  // lands on the bound is the one that force-admits it.
-  if (const std::optional<sim::SimTime> forced =
-          admission_.next_forced_admit()) {
-    delay = std::min(delay, std::max(0.0, *forced - sim_.now()));
-  }
-  // now + (forced - now) can round an ulp short of the bound; a zero-width
-  // recheck would then re-fire at the same timestamp forever. The floor
-  // keeps simulated time strictly advancing across rechecks.
-  delay = std::max(delay, 1e-6);
-  sim_.schedule_in(delay, [this] { on_recheck(); });
-}
-
-void SessionManager::on_recheck() {
-  recheck_pending_ = false;
-  for (const int id : admission_.on_recheck(sim_.now())) {
-    admit(id, /*degraded=*/false, "dequeued", -1);
-  }
-  maybe_schedule_recheck();
 }
 
 SessionStats SessionManager::run() {

@@ -11,13 +11,12 @@
 //
 // Arrivals come from a SessionSpec (explicit times, a seeded open-loop
 // Poisson process, or a closed loop of clients with think times); an
-// AdmissionController decides the fate of each arrival — admit, admit
-// degraded, defer, or shed (session/admission.h). The manager supplies the
-// controller's backpressure snapshot (running/queued sessions, aggregate
-// in-flight transport bytes, the client's NIC queue depth, the measured
-// client-link bandwidth) and a ResponsePredictor sized from the workload,
-// records every decision with its reason in the DecisionLog, and bumps the
-// per-outcome counters session.{arrivals,admitted,deferred,shed,degraded,
+// AdmissionController decides the fate of each arrival — admit, defer, or
+// shed (session/admission.h). The manager supplies the controller's
+// backpressure snapshot (aggregate in-flight transport bytes and the
+// measured client-link bandwidth) and a ResponsePredictor sized from the
+// workload, records every decision with its reason in the DecisionLog, and
+// bumps the per-outcome counters session.{arrivals,admitted,deferred,shed,
 // completed}. Every engine is seeded from a per-session fork of the manager
 // seed and tagged with its session id, so shared-network traces and metrics
 // attribute per-session traffic, and the whole run is deterministic: same
@@ -25,10 +24,9 @@
 //
 // A shed session never runs: it is finalized at arrival time with
 // record.shed set; its response metrics are excluded from the aggregates
-// (SessionStats). A degraded session runs with EngineParams::degraded_mode
-// — one-shot placement, no adaptive change-over. Session records keep only
-// scalars (never the engine's per-image vectors), so thousand-session
-// capacity ramps pay O(1) bookkeeping per completion.
+// (SessionStats). Session records keep only scalars (never the engine's
+// per-image vectors), so thousand-session capacity ramps pay O(1)
+// bookkeeping per completion.
 //
 // Fault injection composes with the session runtime: when `engine_base`
 // carries a fault injector, every admitted engine registers its own fault
@@ -63,10 +61,9 @@ namespace wadc::session {
 class SessionManager {
  public:
   // `engine_base` configures every session's engine; the manager overrides
-  // seed (per-session fork of `seed`), session_id, and degraded_mode. The
-  // manager must outlive nothing: destroy it before the simulation,
-  // network, monitoring, tree, and workload it references (the usual stack
-  // order works).
+  // seed (per-session fork of `seed`) and session_id. The manager must
+  // outlive nothing: destroy it before the simulation, network, monitoring,
+  // tree, and workload it references (the usual stack order works).
   SessionManager(sim::Simulation& sim, net::Network& network,
                  monitor::MonitoringSystem& monitoring,
                  const core::CombinationTree& tree,
@@ -104,18 +101,12 @@ class SessionManager {
   // `spec_id` is the explicit-arrival id (-1 = use the session id);
   // `deadline_seconds` the per-session deadline (0 = policy default).
   void begin_session(int client, int spec_id, double deadline_seconds);
-  void admit(int id, bool degraded, const char* reason,
-             double predicted_seconds);
+  void admit(int id, const char* reason, double predicted_seconds);
   // Finalizes a session that will never run (shed at arrival).
   void finish_without_running(int id);
   void on_session_done(int id);
   // Closed loop: the issuing client thinks, then issues its next query.
   void maybe_issue_next_query(int client);
-  // Bandwidth policy: keep one recheck event pending while sessions queue,
-  // scheduled no later than the earliest deferral-bound expiry so the
-  // bounded-deferral force-admit always fires on time.
-  void maybe_schedule_recheck();
-  void on_recheck();
   // The controller's backpressure snapshot (network-side fields).
   LoadSignals load_signals() const;
   // Slowest fresh client<->server bandwidth from the client's cache (the
@@ -142,7 +133,6 @@ class SessionManager {
   int total_ = 0;
   int finished_ = 0;
   bool ran_ = false;
-  bool recheck_pending_ = false;
 
   // Observability (== engine_base.obs; pointers null when detached).
   obs::Obs obs_;
@@ -150,7 +140,6 @@ class SessionManager {
   obs::Counter* admitted_counter_ = nullptr;
   obs::Counter* deferred_counter_ = nullptr;
   obs::Counter* shed_counter_ = nullptr;
-  obs::Counter* degraded_counter_ = nullptr;
   obs::Counter* completed_counter_ = nullptr;
   obs::Histogram* queue_seconds_hist_ = nullptr;
   obs::Histogram* response_seconds_hist_ = nullptr;

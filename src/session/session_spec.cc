@@ -1,6 +1,8 @@
 #include "session/session_spec.h"
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 
 #include "common/parse.h"
@@ -15,14 +17,10 @@ const char* admission_policy_name(AdmissionPolicy policy) {
       return "unbounded";
     case AdmissionPolicy::kFixedCap:
       return "cap";
-    case AdmissionPolicy::kBandwidthAware:
-      return "bandwidth";
     case AdmissionPolicy::kLoadShedding:
       return "shed";
     case AdmissionPolicy::kDeadlineAware:
       return "deadline";
-    case AdmissionPolicy::kDegrading:
-      return "degrade";
   }
   return "?";
 }
@@ -80,6 +78,15 @@ std::string SessionSpec::validate() const {
         return "closed-loop queries per client must be >= 1, got " +
                std::to_string(queries_per_client);
       }
+      // total_sessions() is an int; the product must fit before anything
+      // sizes a container from it.
+      if (static_cast<std::int64_t>(clients) * queries_per_client >
+          std::numeric_limits<int>::max()) {
+        return "closed-loop clients x queries must be <= " +
+               std::to_string(std::numeric_limits<int>::max()) + ", got " +
+               std::to_string(static_cast<std::int64_t>(clients) *
+                              queries_per_client);
+      }
       if (!finite_nonneg(think_seconds)) {
         return "closed-loop think time must be finite and >= 0, got " +
                std::to_string(think_seconds);
@@ -93,23 +100,6 @@ std::string SessionSpec::validate() const {
       if (admission.max_concurrent < 1) {
         return "admission cap must be >= 1, got " +
                std::to_string(admission.max_concurrent);
-      }
-      break;
-    case AdmissionPolicy::kBandwidthAware:
-      if (!std::isfinite(admission.min_bandwidth) ||
-          admission.min_bandwidth <= 0) {
-        return "admission bandwidth threshold must be finite and > 0, got " +
-               std::to_string(admission.min_bandwidth);
-      }
-      if (!std::isfinite(admission.recheck_seconds) ||
-          admission.recheck_seconds <= 0) {
-        return "admission recheck period must be finite and > 0, got " +
-               std::to_string(admission.recheck_seconds);
-      }
-      if (!std::isfinite(admission.max_defer_seconds) ||
-          admission.max_defer_seconds <= 0) {
-        return "deferral cap must be finite and > 0, got " +
-               std::to_string(admission.max_defer_seconds);
       }
       break;
     case AdmissionPolicy::kLoadShedding:
@@ -129,12 +119,6 @@ std::string SessionSpec::validate() const {
           admission.deadline_seconds < 0) {
         return "admission deadline must be finite and >= 0, got " +
                std::to_string(admission.deadline_seconds);
-      }
-      break;
-    case AdmissionPolicy::kDegrading:
-      if (admission.max_concurrent < 1) {
-        return "degrade cap must be >= 1, got " +
-               std::to_string(admission.max_concurrent);
       }
       break;
   }
@@ -206,27 +190,15 @@ SessionSpec parse_session_spec(const std::string& text) {
       spec.clients = line.read<int>("client count");
       spec.queries_per_client = line.read<int>("queries per client");
       spec.think_seconds = line.read<double>("think seconds");
-    } else if (keyword == "defer_cap") {
-      spec.admission.max_defer_seconds =
-          line.read<double>("deferral cap seconds");
     } else if (keyword == "admission") {
       const std::string policy =
-          line.word("'unbounded', 'cap', 'bandwidth', 'shed', 'deadline' or "
-                    "'degrade'");
+          line.word("'unbounded', 'cap', 'shed' or 'deadline'");
       if (policy == "unbounded") {
         spec.admission.policy = AdmissionPolicy::kUnbounded;
       } else if (policy == "cap") {
         spec.admission.policy = AdmissionPolicy::kFixedCap;
         spec.admission.max_concurrent =
             line.read<int>("max concurrent sessions");
-      } else if (policy == "bandwidth") {
-        spec.admission.policy = AdmissionPolicy::kBandwidthAware;
-        spec.admission.min_bandwidth =
-            line.read<double>("minimum bandwidth (bytes/second)");
-        if (const auto recheck =
-                line.read_optional<double>("recheck seconds")) {
-          spec.admission.recheck_seconds = *recheck;
-        }
       } else if (policy == "shed") {
         spec.admission.policy = AdmissionPolicy::kLoadShedding;
         spec.admission.max_concurrent =
@@ -238,10 +210,6 @@ SessionSpec parse_session_spec(const std::string& text) {
         spec.admission.policy = AdmissionPolicy::kDeadlineAware;
         spec.admission.deadline_seconds =
             line.read<double>("deadline seconds");
-      } else if (policy == "degrade") {
-        spec.admission.policy = AdmissionPolicy::kDegrading;
-        spec.admission.max_concurrent =
-            line.read<int>("max concurrent sessions");
       } else {
         line.fail("unknown admission policy '" + policy + "'");
       }

@@ -14,10 +14,6 @@
 //                                            # back with <think_s> think time
 //   admission unbounded                      # default: admit immediately
 //   admission cap <max_concurrent>           # FIFO queue beyond the cap
-//   admission bandwidth <min_bw> [recheck_s] # defer while the measured
-//                                            # client-link bandwidth (B/s)
-//                                            # is below <min_bw>; deferral
-//                                            # is bounded (defer_cap below)
 //   admission shed <max_concurrent> [max_queue]
 //                                            # load shedding: queue at most
 //                                            # max_queue (default 0) behind
@@ -27,11 +23,6 @@
 //                                            # their deadline (default
 //                                            # <deadline_s>, overridable
 //                                            # per session line)
-//   admission degrade <max_concurrent>       # beyond the cap, admit but
-//                                            # force the cheap one-shot
-//                                            # engine mode
-//   defer_cap <seconds>                      # bound on bandwidth-aware
-//                                            # deferral (default 900)
 //
 // Parse errors throw std::runtime_error with the offending line number;
 // wadc_run turns that into exit code 2, like the fault-spec path.
@@ -42,30 +33,23 @@
 
 namespace wadc::session {
 
-// How the admission controller treats an arriving session. The first three
-// are the original policies; the last three are the overload-control
-// policies (docs/SESSIONS.md "Overload control").
+// How the admission controller treats an arriving session. The first two
+// are the original policies; the last two are the overload-control
+// policies (docs/SESSIONS.md "Overload control"), which decide which
+// sessions run at all.
 enum class AdmissionPolicy {
-  kUnbounded,       // start every session the moment it arrives
-  kFixedCap,        // at most max_concurrent running; FIFO queue beyond
-  kBandwidthAware,  // defer while measured client-link bandwidth < threshold
-  kLoadShedding,    // cap + bounded queue; beyond both, shed (reject)
-  kDeadlineAware,   // shed sessions predicted to miss their deadline
-  kDegrading,       // beyond the cap, admit in degraded (one-shot) mode
+  kUnbounded,      // start every session the moment it arrives
+  kFixedCap,       // at most max_concurrent running; FIFO queue beyond
+  kLoadShedding,   // cap + bounded queue; beyond both, shed (reject)
+  kDeadlineAware,  // shed sessions predicted to miss their deadline
 };
 
 const char* admission_policy_name(AdmissionPolicy policy);
 
 struct AdmissionParams {
   AdmissionPolicy policy = AdmissionPolicy::kUnbounded;
-  int max_concurrent = 4;        // kFixedCap / kLoadShedding / kDegrading
-  double min_bandwidth = 0;      // bytes/second (kBandwidthAware)
-  double recheck_seconds = 30;   // kBandwidthAware re-evaluation period
-  // kBandwidthAware forward-progress bound: a deferred session is force-
-  // admitted once it has waited this long, so congestion can delay but
-  // never starve it (the recheck that fires at the bound admits it).
-  double max_defer_seconds = 900;
-  int max_queue = 0;             // kLoadShedding FIFO room behind the cap
+  int max_concurrent = 4;  // kFixedCap / kLoadShedding
+  int max_queue = 0;       // kLoadShedding FIFO room behind the cap
   // kDeadlineAware default per-session response deadline, seconds. 0 means
   // "no deadline": sessions without an explicit per-session deadline are
   // always admitted.

@@ -17,7 +17,6 @@ void SessionStats::add(const SessionRecord& record) {
   }
   ++admitted_;
   if (record.deferred) ++deferred_;
-  if (record.degraded) ++degraded_;
   const double queue = record.queue_seconds();
   queue_sum_ += queue;
   queue_max_ = std::max(queue_max_, queue);

@@ -24,8 +24,7 @@ namespace wadc::session {
 // How a session's story ended (the admission outcome taxonomy of
 // session/overload.h, collapsed to what the record keeps).
 //
-//   completed — admitted (possibly after deferral, possibly degraded) and
-//               ran to completion;
+//   completed — admitted (possibly after deferral) and ran to completion;
 //   aborted   — admitted but its engine aborted (permanent fault);
 //   shed      — rejected by admission; never ran.
 struct SessionRecord {
@@ -43,7 +42,6 @@ struct SessionRecord {
   bool completed = false;
   bool shed = false;       // rejected by admission; never ran
   bool deferred = false;   // spent time in the admission queue
-  bool degraded = false;   // ran in degraded (one-shot) engine mode
   int images = 0;  // partitions delivered to this session's client
   int relocations = 0;  // operator moves performed by this session's engine
 
@@ -80,7 +78,6 @@ class SessionStats {
   int admitted_count() const { return admitted_; }
   int shed_count() const { return shed_; }
   int deferred_count() const { return deferred_; }
-  int degraded_count() const { return degraded_; }
   // Fraction of all sessions rejected by admission (0 when none arrived).
   double shed_fraction() const;
 
@@ -124,7 +121,6 @@ class SessionStats {
   int admitted_ = 0;
   int shed_ = 0;
   int deferred_ = 0;
-  int degraded_ = 0;
 
   double response_sum_ = 0;       // completed sessions
   double queue_sum_ = 0;          // admitted sessions

@@ -99,8 +99,8 @@ expect_reject "fault crash time 1e3x" "'1e3x'" \
 printf 'session 0\nadmission shed 1 foo\n' > "$TMP/shed.sessions"
 expect_reject "session shed queue foo" "'foo'" \
   "$RUN" --sessions-spec="$TMP/shed.sessions" "${small[@]}"
-printf 'session 0\nadmission bandwidth 5000 fast\n' > "$TMP/bw.sessions"
-expect_reject "session bandwidth recheck fast" "'fast'" \
+printf 'session 0\nadmission bandwidth 5000\n' > "$TMP/bw.sessions"
+expect_reject "no bandwidth policy" "'bandwidth'" \
   "$RUN" --sessions-spec="$TMP/bw.sessions" "${small[@]}"
 printf 'session 0 id=2.7\n' > "$TMP/id.sessions"
 expect_reject "session id=2.7" "'id=2.7'" \

@@ -25,6 +25,26 @@ expect_exit() {
   fi
 }
 
+# expect_reject <name> <text stderr must contain> <spec file text>: the spec
+# exits 2 with a one-line message that contains the text.
+expect_reject() {
+  local name=$1 want=$2
+  printf '%b' "$3" > "$TMP/reject.sessions"
+  "$BIN" --sessions-spec="$TMP/reject.sessions" --servers=2 --iterations=4 \
+    > "$TMP/out" 2> "$TMP/err"
+  local got=$?
+  if [ "$got" -ne 2 ]; then
+    echo "FAIL: $name: expected exit 2, got $got" >&2
+    sed 's/^/  /' "$TMP/err" >&2
+    fail=1
+  elif [ "$(wc -l < "$TMP/err")" -ne 1 ] || ! grep -qF -- "$want" "$TMP/err"
+  then
+    echo "FAIL: $name: expected one stderr line mentioning '$want':" >&2
+    sed 's/^/  /' "$TMP/err" >&2
+    fail=1
+  fi
+}
+
 # --- usage errors -----------------------------------------------------------
 
 printf 'bogus 1\n' > "$TMP/unknown-keyword.sessions"
@@ -66,10 +86,16 @@ printf 'session 0\nadmission deadline inf\n' > "$TMP/inf-deadline.sessions"
 expect_exit 2 "infinite deadline rejected" \
   --sessions-spec="$TMP/inf-deadline.sessions" --servers=2 --iterations=4
 
-printf 'session 0\nadmission bandwidth 5000\ndefer_cap 0\n' \
-  > "$TMP/zero-defer.sessions"
-expect_exit 2 "zero deferral cap rejected" \
-  --sessions-spec="$TMP/zero-defer.sessions" --servers=2 --iterations=4
+# The grammar has no degrade policy and no deferral cap: both words are
+# rejected as unknown.
+expect_reject "no defer_cap keyword" "'defer_cap'" \
+  'session 0\ndefer_cap 60\n'
+expect_reject "no degrade policy" "'degrade'" \
+  'session 0\nadmission degrade 2\n'
+
+# clients x queries overflows the int session count.
+expect_reject "closed-loop session count overflow" "clients x queries" \
+  'closed 46341 46341 0\n'
 
 expect_exit 2 "--num-clients must be >= 1" --num-clients=0
 
@@ -96,7 +122,7 @@ if ! grep -q '^config_seed,algorithm,policy,sessions,' "$TMP/out"; then
   fail=1
 fi
 
-if ! grep -q 'shed,deferred,degraded,goodput_per_hour' "$TMP/out"; then
+if ! grep -q 'shed,deferred,goodput_per_hour' "$TMP/out"; then
   echo "FAIL: per-outcome columns missing from session CSV header:" >&2
   head -3 "$TMP/out" >&2
   fail=1
@@ -113,12 +139,6 @@ printf 'session 0\nsession 1 deadline=9000\nadmission deadline 4000\n' \
   > "$TMP/deadline.sessions"
 expect_exit 0 "deadline-policy session run" \
   --sessions-spec="$TMP/deadline.sessions" --servers=2 --iterations=4 \
-  --configs=1 --seed=1000 --csv
-
-printf 'session 0\nsession 1\nadmission degrade 1\n' \
-  > "$TMP/degrade.sessions"
-expect_exit 0 "degrade-policy session run" \
-  --sessions-spec="$TMP/degrade.sessions" --servers=2 --iterations=4 \
   --configs=1 --seed=1000 --csv
 
 if [ "$fail" = 0 ]; then

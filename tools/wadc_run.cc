@@ -431,7 +431,7 @@ int run_session_mode(const Options& opt, const trace::TraceLibrary& library,
   if (opt.csv) {
     std::printf("config_seed,algorithm,policy,sessions,completed,"
                 "mean_response_s,p95_response_s,mean_queue_s,jain_fairness,"
-                "throughput_per_s,makespan_s,shed,deferred,degraded,"
+                "throughput_per_s,makespan_s,shed,deferred,"
                 "goodput_per_hour\n");
   } else {
     std::printf("wadc_run: %s, %d servers, %d iterations, %s tree, "
@@ -460,14 +460,13 @@ int run_session_mode(const Options& opt, const trace::TraceLibrary& library,
     mean_responses.push_back(st.mean_response_seconds());
     if (opt.csv) {
       std::printf("%llu,%s,%s,%d,%d,%.3f,%.3f,%.3f,%.4f,%.6f,%.3f,"
-                  "%d,%d,%d,%.4f\n",
+                  "%d,%d,%.4f\n",
                   config_seed, algorithm, policy, st.total_count(),
                   st.completed_count(), st.mean_response_seconds(),
                   st.p95_response_seconds(), st.mean_queue_seconds(),
                   st.jain_fairness(), st.aggregate_throughput(),
                   st.makespan_seconds(), st.shed_count(),
-                  st.deferred_count(), st.degraded_count(),
-                  st.goodput_per_hour());
+                  st.deferred_count(), st.goodput_per_hour());
     } else {
       std::printf("%-9llu %-9d %-5d %9.1f s %11.1f s %9.1f s  %.3f  "
                   "%9.1f s\n",
