@@ -80,12 +80,12 @@ std::string SessionSpec::validate() const {
       }
       // total_sessions() is an int; the product must fit before anything
       // sizes a container from it.
-      if (static_cast<std::int64_t>(clients) * queries_per_client >
-          std::numeric_limits<int>::max()) {
+      if (const std::int64_t sessions =
+              static_cast<std::int64_t>(clients) * queries_per_client;
+          sessions > std::numeric_limits<int>::max()) {
         return "closed-loop clients x queries must be <= " +
                std::to_string(std::numeric_limits<int>::max()) + ", got " +
-               std::to_string(static_cast<std::int64_t>(clients) *
-                              queries_per_client);
+               std::to_string(sessions);
       }
       if (!finite_nonneg(think_seconds)) {
         return "closed-loop think time must be finite and >= 0, got " +
