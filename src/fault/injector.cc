@@ -63,14 +63,26 @@ void FaultInjector::arm() {
   if (schedule_.drop_probability > 0) {
     network_.set_drop_probability(schedule_.drop_probability, seed_);
   }
-  for (std::size_t i = 0; i < events_.size(); ++i) {
-    const sim::SimTime t = events_[i].time;
-    WADC_ASSERT(t >= sim_.now(), "fault scheduled in the past");
-    auto fire = [this, i] { apply(i); };
-    static_assert(sim::Callback::fits_inline<decltype(fire)>(),
-                  "fault events must stay allocation-free");
-    sim_.schedule_at(t, fire);
-  }
+  if (events_.empty()) return;
+  // events_ is sorted, so the first event is the earliest.
+  WADC_ASSERT(events_.front().time >= sim_.now(),
+              "fault scheduled in the past");
+  first_seq_ = sim_.reserve_seqs(events_.size());
+  schedule_event(0);
+}
+
+void FaultInjector::schedule_event(std::size_t index) {
+  auto fire_event = [this, index] { fire(index); };
+  static_assert(sim::Callback::fits_inline<decltype(fire_event)>(),
+                "fault events must stay allocation-free");
+  sim_.schedule_reserved(events_[index].time, first_seq_ + index, fire_event);
+}
+
+void FaultInjector::fire(std::size_t index) {
+  // The next event's key follows this one's, so scheduling it now, before
+  // anything ordered after it can pop, keeps the up-front order exactly.
+  if (index + 1 < events_.size()) schedule_event(index + 1);
+  apply(index);
 }
 
 bool FaultInjector::host_restarts_after(net::HostId host,

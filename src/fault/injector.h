@@ -1,9 +1,15 @@
 // Drives a FaultSchedule into a live simulation.
 //
-// arm() flattens the schedule into a time-sorted event list and schedules
-// one kernel event per fault. When a fault fires, the injector first mutates
-// the network (kill/revive a host, begin/end a blackout), then notifies
-// listeners — so recovery code always observes the post-fault network.
+// The constructor flattens the schedule into a time-sorted event list.
+// arm() reserves one kernel sequence number per fault event and schedules
+// only the first; fault event i schedules event i+1 under its reserved
+// seq before it applies itself. So the event heap holds at most one fault
+// event at a time (a Poisson schedule to a 20000 s horizon has hundreds),
+// and every fault still pops at the (time, seq) key that scheduling all of
+// them at arm() would give it (sim::Simulation::reserve_seqs). When a
+// fault fires, the injector first mutates the network (kill/revive a host,
+// begin/end a blackout), then notifies listeners — so recovery code always
+// observes the post-fault network.
 #pragma once
 
 #include <cstdint>
@@ -45,9 +51,10 @@ class FaultInjector {
   // injector with an empty schedule changes nothing.
   void set_obs(const obs::Obs& obs) { obs_ = obs; }
 
-  // Schedules every fault event and enables the drop probability. Call once,
-  // before sim.run(). Events landing during teardown are dropped by the
-  // kernel.
+  // Reserves the fault events' place in the kernel's event order, schedules
+  // the first, and enables the drop probability. Call once, before
+  // sim.run(). Events landing during teardown are dropped by the kernel,
+  // which ends the chain.
   void arm();
 
   // Listeners run after the network mutation, in registration order.
@@ -62,6 +69,10 @@ class FaultInjector {
   bool host_restarts_after(net::HostId host, sim::SimTime t) const;
 
  private:
+  // Schedules events_[index] under its reserved seq.
+  void schedule_event(std::size_t index);
+  // Fires events_[index]: schedules the next event, then applies this one.
+  void fire(std::size_t index);
   void apply(std::size_t index);
 
   sim::Simulation& sim_;
@@ -69,6 +80,7 @@ class FaultInjector {
   FaultSchedule schedule_;
   std::uint64_t seed_;
   std::vector<FaultEvent> events_;  // sorted by (time, flatten order)
+  sim::EventSeq first_seq_ = 0;     // events_[i] fires under first_seq_ + i
   std::vector<Listener> listeners_;
   int events_injected_ = 0;
   bool armed_ = false;

@@ -11,8 +11,9 @@
 namespace wadc::sim {
 
 // A (time, seq)-ordered set of pending events. Events at equal times
-// execute in the order they were scheduled, which makes runs exactly
-// reproducible.
+// execute in seq order — the order they were scheduled, or, for an event
+// scheduled under a seq reserved earlier, the order of the reservation —
+// which makes runs exactly reproducible.
 //
 // Storage is split for the cache: a binary min-heap orders 24-byte Key
 // entries (time, seq, slot index) — so a sift moves small trivially
@@ -53,15 +54,21 @@ class EventQueue {
     return heap_.empty() || t < heap_.front().time ? t : heap_.front().time;
   }
 
-  // Schedules an event. `seq` values must be strictly increasing across
-  // pushes of both kinds (the caller owns the counter). Returns the slot
-  // index holding the action, for use with cancel().
+  // Schedules an event. `seq` values must be unique across pushes of both
+  // kinds (the caller owns the counter). They usually increase from push
+  // to push, but push() also takes a seq older than earlier pushes: the
+  // heap orders any key, so an event scheduled under a seq the caller
+  // reserved earlier (Simulation::schedule_reserved) pops in the place that
+  // seq gives it. Returns the slot index holding the action, for use with
+  // cancel().
   std::uint32_t push(SimTime time, EventSeq seq, Callback action);
 
   // Schedules a non-cancellable event at the current time: no pending
   // event is earlier than `time`, and no later push is earlier than it
-  // either (Simulation uses it for t == now()). The FIFO must stay in
-  // (time, seq) order, which a debug check guards.
+  // either (Simulation uses it for t == now()). Its seq must be newer than
+  // every pending seq at the same time, so the FIFO stays in (time, seq)
+  // order, which a debug check guards; a reserved, older seq goes through
+  // push() instead.
   void push_now(SimTime time, EventSeq seq, Callback action);
 
   // Removes and returns the earliest pending event; queue must be non-empty.

@@ -35,6 +35,19 @@ EventSeq Simulation::schedule_at_cancellable(SimTime t, Callback action) {
   return (static_cast<EventSeq>(slot) << kHandleSeqBits) | seq;
 }
 
+EventSeq Simulation::reserve_seqs(std::size_t count) {
+  const EventSeq first = next_seq_;
+  next_seq_ += count;
+  return first;
+}
+
+void Simulation::schedule_reserved(SimTime t, EventSeq seq, Callback action) {
+  if (tearing_down_) return;
+  WADC_ASSERT(t >= now_, "scheduling into the past: t=", t, " now=", now_);
+  WADC_ASSERT(seq < next_seq_, "sequence number ", seq, " was not reserved");
+  queue_.push(t, seq, std::move(action));
+}
+
 void Simulation::cancel_scheduled(EventSeq id) {
   if (id == kNoEventSeq || tearing_down_) return;
   const EventSeq seq = id & kHandleSeqMask;

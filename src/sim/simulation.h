@@ -83,6 +83,20 @@ class Simulation {
   // terminate_all() (those events were already dropped with the queue).
   void cancel_scheduled(EventSeq id);
 
+  // Reserves `count` consecutive sequence numbers and returns the first.
+  // An event later scheduled under one of them with schedule_reserved()
+  // takes the place in the (time, seq) order that scheduling it now would
+  // have given it, provided it is scheduled before any event ordered after
+  // it fires. A chain of events sorted by time can so keep only its next
+  // link pending and still pop exactly as if all had been scheduled here.
+  EventSeq reserve_seqs(std::size_t count);
+
+  // Schedules `action` at absolute time `t` (>= now) under `seq`, a number
+  // from reserve_seqs(). The event always goes onto the heap, never onto
+  // the current-time FIFO: its seq is older than that of any FIFO event at
+  // the same time, so it must pop ahead of them. Dropped during teardown.
+  void schedule_reserved(SimTime t, EventSeq seq, Callback action);
+
   // Starts a detached process. The process begins at the current time (via
   // the event queue, not synchronously). Returns a process id. The frame is
   // reclaimed when the process finishes, or by terminate_all().
@@ -111,6 +125,8 @@ class Simulation {
 
   std::size_t live_process_count() const { return processes_.size(); }
   std::uint64_t events_processed() const { return events_processed_; }
+  // Keys in the event queue's heap (read-only, for tests).
+  std::size_t heap_size() const { return queue_.heap_size(); }
 
   // Awaitable: suspends the current process for `dt` seconds (dt >= 0).
   // delay(0) yields through the event queue.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "fault/fault_schedule.h"
@@ -197,6 +198,65 @@ TEST(FaultInjector, AppliesCrashAndRestartToNetwork) {
   EXPECT_DOUBLE_EQ(seen[1].time, 9.0);
   EXPECT_EQ(f.injector->events_injected(), 2);
   EXPECT_EQ(f.injector->events_total(), 2);
+}
+
+// arm() schedules only the first fault; each fault schedules the next
+// under a seq reserved at arm(). Every fault must still pop at the
+// (time, seq) key that scheduling all of them at arm() gives it, and the
+// heap must never hold more than one fault. At t = 300 a fault ties with
+// a second fault, a timer scheduled before arm(), a timer scheduled after
+// arm() but before the preceding fault (t = 200) fires, and a zero-delay
+// timer the first of those schedules at t = 300. Up-front arming orders
+// them by seq: the early timer (scheduled first), both faults (reserved at
+// arm()), the late timer, then the zero-delay timer (scheduled last).
+// Re-arming each fault under a fresh seq when its predecessor fires would
+// put the late timer ahead of both faults, and a reserved fault queued
+// behind the current-time FIFO would pop after the zero-delay timer.
+TEST(FaultInjector, TimelineKeepsTheUpFrontTieOrder) {
+  FaultSchedule s;
+  s.crashes.push_back({1, 100.0, 200.0});
+  s.crashes.push_back({2, 300.0});
+  s.blackouts.push_back({0, 1, 300.0, 400.0});
+  FaultFixture f(std::move(s));
+  std::vector<std::string> order;
+  int timers_in_heap = 0;  // pending timers scheduled in the future
+  const auto check_heap = [&] {
+    EXPECT_LE(f.sim.heap_size(),
+              static_cast<std::size_t>(timers_in_heap) + 1)
+        << "more than one fault event in the heap at t=" << f.sim.now();
+  };
+  const auto note = [&](const std::string& what) {
+    order.push_back(what + " @" + std::to_string(static_cast<int>(
+                                      f.sim.now())));
+    check_heap();
+  };
+  f.injector->add_listener([&](const FaultEvent& ev) {
+    note(std::string(fault_event_name(ev.kind)));
+  });
+
+  ++timers_in_heap;
+  f.sim.schedule_at(300.0, [&] {
+    --timers_in_heap;
+    note("timer before arm");
+    f.sim.schedule_in(0.0, [&] { note("zero-delay timer"); });
+  });
+  f.injector->arm();
+  EXPECT_EQ(f.sim.heap_size(), 2u);  // the early timer and the first fault
+  ++timers_in_heap;
+  f.sim.schedule_at(300.0, [&] {
+    --timers_in_heap;
+    note("timer after arm");
+  });
+  f.sim.run();
+
+  const std::vector<std::string> up_front = {
+      "crash @100",          "restart @200",
+      "timer before arm @300", "crash @300",
+      "blackout_begin @300", "timer after arm @300",
+      "zero-delay timer @300", "blackout_end @400"};
+  EXPECT_EQ(order, up_front);
+  EXPECT_EQ(f.injector->events_injected(), 5);
+  EXPECT_EQ(f.sim.heap_size(), 0u);
 }
 
 TEST(FaultInjector, HostRestartsAfterDistinguishesTransientFromPermanent) {
