@@ -1,10 +1,11 @@
 #include "exp/experiment.h"
 
-#include <deque>
+#include <algorithm>
 #include <functional>
 #include <iterator>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -169,9 +170,9 @@ struct RunStack {
   dataflow::EngineParams engine_params;
 };
 
-// The single-engine run on a simulation/network pair, which the
-// fresh-context overload builds on the stack and the epoch-reuse overload
-// resets in place.
+// The single-engine run on a simulation/network pair, which the fresh and
+// pooled paths build for the run and the epoch-reuse overload resets in
+// place.
 RunResult run_on(const ExperimentSpec& spec, sim::Simulation& sim,
                  net::Network& network) {
   RunStack stack(spec, sim, network);
@@ -190,13 +191,158 @@ RunResult run_on(const ExperimentSpec& spec, sim::Simulation& sim,
   return result;
 }
 
+// The session run on a simulation/network pair.
+session::SessionStats run_sessions_on(const ExperimentSpec& spec,
+                                      const session::SessionSpec& sessions,
+                                      sim::Simulation& sim,
+                                      net::Network& network) {
+  RunStack stack(spec, sim, network);
+  // The manager owns every session's engine; the first engine destructor
+  // tears down all coroutine frames while the stack is still alive.
+  session::SessionManager manager(sim, network, stack.monitoring, stack.tree,
+                                  stack.workload, stack.engine_params,
+                                  sessions, spec.config_seed);
+  const auto sampler =
+      stack.start(&manager, [&manager] { return manager.all_finished(); });
+
+  session::SessionStats stats = manager.run();
+  stats.network_bytes_delivered = network.bytes_delivered();
+  if (spec.backend != Backend::kSim) {
+    stats.backend = backend_name(spec.backend);
+  }
+  return stats;
+}
+
+// The process-wide pool of warm arenas behind pooled runs. It and its
+// arenas are never freed; a lease's arena is exclusive to it, and the
+// mutex orders one lease's use of an arena before the next one's.
+class ArenaPool {
+ public:
+  static ArenaPool& instance() {
+    static ArenaPool* const pool = new ArenaPool();
+    return *pool;
+  }
+
+  sim::Arena& acquire() {
+    // The pool's own memory never comes from a caller's arena.
+    const sim::Arena::Scope global(nullptr);
+    const std::lock_guard<std::mutex> lock(mu_);
+    ++leased_;
+    if (idle_.empty()) {
+      arenas_.push_back(std::make_unique<sim::Arena>());
+      return *arenas_.back();
+    }
+    sim::Arena* const arena = idle_.back();
+    idle_.pop_back();
+    return *arena;
+  }
+
+  // An arena that still holds live allocations when its lease ends (say,
+  // the message of an exception thrown inside the run) could be freed into
+  // by another thread later, so it is retired rather than leased again.
+  void release(sim::Arena& arena) {
+    const sim::Arena::Scope global(nullptr);
+    const std::lock_guard<std::mutex> lock(mu_);
+    --leased_;
+    if (arena.outstanding() != 0) {
+      ++retired_;
+      return;
+    }
+    idle_.push_back(&arena);
+  }
+
+  RunPoolStats stats() {
+    const std::lock_guard<std::mutex> lock(mu_);
+    RunPoolStats s;
+    s.arenas = static_cast<int>(arenas_.size());
+    s.leased = leased_;
+    s.retired = retired_;
+    // Only idle arenas: a leased one belongs to its run's thread.
+    for (const sim::Arena* arena : idle_) {
+      s.block_allocs += arena->stats().block_allocs;
+    }
+    return s;
+  }
+
+ private:
+  ArenaPool() = default;
+
+  std::mutex mu_;
+  std::vector<std::unique_ptr<sim::Arena>> arenas_;
+  std::vector<sim::Arena*> idle_;
+  int leased_ = 0;
+  int retired_ = 0;
+};
+
+// One arena leased from the pool for the lease's lifetime.
+class ArenaLease {
+ public:
+  ArenaLease() : arena_(ArenaPool::instance().acquire()) {}
+  ~ArenaLease() { ArenaPool::instance().release(arena_); }
+  ArenaLease(const ArenaLease&) = delete;
+  ArenaLease& operator=(const ArenaLease&) = delete;
+
+  sim::Arena& arena() const { return arena_; }
+
+ private:
+  sim::Arena& arena_;
+};
+
+// True for the runs the pool serves: simulated, with no sink whose
+// contents would outlive the run.
+bool pooled(const ExperimentSpec& spec) {
+  return spec.backend == Backend::kSim && !spec.obs.enabled();
+}
+
+template <typename Run>
+using RunOutput =
+    std::invoke_result_t<const Run&, sim::Simulation&, net::Network&>;
+
+// Runs `run` on a simulation/network pair built for it. With a null
+// `arena` everything lives on the caller's allocator. Otherwise the pair
+// and everything the run allocates come from `arena`: the result is copied
+// out to the caller's allocator, the original and the stack are freed, and
+// the arena is rewound, so nothing the run allocated outlives it.
+template <typename Run>
+RunOutput<Run> run_stack(const trace::TraceLibrary& library,
+                         const ExperimentSpec& spec, sim::Arena* arena,
+                         const Run& run) {
+  if (arena == nullptr) {
+    FreshNetwork fresh(library, spec);
+    return run(fresh.sim, fresh.network);
+  }
+  sim::Arena* const caller = sim::Arena::current();
+  std::optional<RunOutput<Run>> out;
+  {
+    const sim::Arena::Scope mem(arena);
+    FreshNetwork fresh(library, spec);
+    const RunOutput<Run> result = run(fresh.sim, fresh.network);
+    const sim::Arena::Scope copy_out(caller);
+    out.emplace(result);
+  }
+  arena->reset();
+  return std::move(*out);
+}
+
+// A pooled run when the spec allows one, a fresh one otherwise.
+template <typename Run>
+RunOutput<Run> run_pooled_or_fresh(const trace::TraceLibrary& library,
+                                   const ExperimentSpec& spec,
+                                   const Run& run) {
+  if (!pooled(spec)) return run_stack(library, spec, nullptr, run);
+  const ArenaLease lease;
+  return run_stack(library, spec, &lease.arena(), run);
+}
+
 }  // namespace
 
 RunResult run_experiment(const trace::TraceLibrary& library,
                          const ExperimentSpec& spec) {
   WADC_ASSERT(spec.num_servers >= 2, "need at least two servers");
-  FreshNetwork fresh(library, spec);
-  return run_on(spec, fresh.sim, fresh.network);
+  return run_pooled_or_fresh(
+      library, spec, [&spec](sim::Simulation& sim, net::Network& network) {
+        return run_on(spec, sim, network);
+      });
 }
 
 RunResult run_experiment(const trace::TraceLibrary& library,
@@ -241,24 +387,14 @@ session::SessionStats run_session_experiment(
     const trace::TraceLibrary& library, const ExperimentSpec& spec,
     const session::SessionSpec& sessions) {
   WADC_ASSERT(spec.num_servers >= 2, "need at least two servers");
-  FreshNetwork fresh(library, spec);
-  RunStack stack(spec, fresh.sim, fresh.network);
-  // The manager owns every session's engine; the first engine destructor
-  // tears down all coroutine frames while the stack is still alive.
-  session::SessionManager manager(fresh.sim, fresh.network, stack.monitoring,
-                                  stack.tree, stack.workload,
-                                  stack.engine_params, sessions,
-                                  spec.config_seed);
-  const auto sampler =
-      stack.start(&manager, [&manager] { return manager.all_finished(); });
-
-  session::SessionStats stats = manager.run();
-  stats.network_bytes_delivered = fresh.network.bytes_delivered();
-  if (spec.backend != Backend::kSim) {
-    stats.backend = backend_name(spec.backend);
-  }
-  return stats;
+  return run_pooled_or_fresh(
+      library, spec,
+      [&spec, &sessions](sim::Simulation& sim, net::Network& network) {
+        return run_sessions_on(spec, sessions, sim, network);
+      });
 }
+
+RunPoolStats run_pool_stats() { return ArenaPool::instance().stats(); }
 
 namespace {
 
@@ -277,28 +413,15 @@ struct CellObs {
   std::unique_ptr<obs::Timeline> timeline;
 };
 
-// Process-lifetime RunContext per sweep-worker index. Deliberately leaked:
-// recorded obs data and run results escape a run still pointing into the
-// worker's arena, and sweep callers may hold them arbitrarily long, so the
-// arenas must never be destroyed. Contexts are exclusive to one worker per
-// sweep and sweeps do not overlap, so the only synchronization needed is
-// around pool growth.
-RunContext& sweep_worker_context(int worker) {
-  static auto* contexts = new std::deque<RunContext>();
-  static std::mutex mu;
-  std::lock_guard<std::mutex> lock(mu);
-  while (static_cast<int>(contexts->size()) <= worker) {
-    contexts->emplace_back();
-  }
-  return (*contexts)[static_cast<std::size_t>(worker)];
-}
-
 // Runs descs.size() x sweep.configs independent cells on a fixed-size
 // worker pool. descs[0] must be the download-all baseline; every series'
 // speedup is measured against it. Cells share only the read-only trace
 // library and the (copied-per-cell) spec, and write results into
 // index-keyed slots, so the returned series — and the merged obs output —
-// are byte-identical for every worker count.
+// are byte-identical for every worker count. Each worker runs its cells
+// as pooled runs in one arena leased for the whole sweep; a cell recording
+// into private sinks runs on a fresh stack, so the merged sink contents
+// live on the global heap.
 std::vector<AlgorithmSeries> run_cells(const trace::TraceLibrary& library,
                                        const SweepSpec& sweep,
                                        const std::vector<SeriesDesc>& descs,
@@ -327,6 +450,10 @@ std::vector<AlgorithmSeries> run_cells(const trace::TraceLibrary& library,
   obs::Profiler* const prof = sweep.profiler;
   std::mutex progress_mu;
   int done = 0;
+
+  // parallel_for's worker indices stay below min(jobs, total).
+  const auto leases = std::make_unique<ArenaLease[]>(
+      static_cast<std::size_t>(std::max(1, std::min(jobs, total))));
 
   parallel_for(total, jobs, [&](int idx, int worker) {
     const int s = idx / configs;
@@ -362,18 +489,21 @@ std::vector<AlgorithmSeries> run_cells(const trace::TraceLibrary& library,
     }
     {
       obs::Profiler::Scope run_scope(prof, "engine_run", worker);
-      RunContext& ctx = sweep_worker_context(worker);
-      const sim::ArenaStats before = ctx.arena_stats();
+      sim::Arena& arena = leases[static_cast<std::size_t>(worker)].arena();
+      const sim::ArenaStats before = arena.stats();
       const sim::GlobalAllocStats& tls = sim::global_alloc_stats();
       const std::uint64_t news_before = tls.global_news;
       results[static_cast<std::size_t>(s)][static_cast<std::size_t>(c)] =
-          run_experiment(library, spec, ctx);
+          run_stack(library, spec, pooled(spec) ? &arena : nullptr,
+                    [&spec](sim::Simulation& sim, net::Network& network) {
+                      return run_on(spec, sim, network);
+                    });
       if (prof != nullptr) {
-        // Allocator traffic per cell. Warmth-dependent (a cold context
+        // Allocator traffic per cell. Warmth-dependent (a cold arena
         // mallocs its blocks, a warm one doesn't), so these go to the
         // profiler only — never to the deterministic metrics channel, or
         // goldens would differ across jobs counts.
-        const sim::ArenaStats& after = ctx.arena_stats();
+        const sim::ArenaStats& after = arena.stats();
         prof->count("sim.alloc.arena_allocs", after.allocs - before.allocs);
         prof->count("sim.alloc.freelist_hits",
                     after.freelist_hits - before.freelist_hits);

@@ -117,18 +117,21 @@ struct RunResult {
   double mean_interarrival_seconds = 0;
 };
 
-// Reusable per-worker state for sweep runs (epoch memory reuse). One
-// RunContext is owned by exactly one sweep worker at a time; runs on it
-// must be serialized. It carries:
-//   - the worker's sim::Arena, installed as the thread's current arena for
-//     the duration of each run and reset() between runs, so a warm worker
+// Caller-owned reusable state for single-engine runs (epoch memory reuse),
+// for callers that keep one context across many runs: perfbench's fig6
+// loop and the tests. Runs on one context must be serialized. It carries:
+//   - a sim::Arena, installed as the thread's current arena for the
+//     duration of each run and reset() between runs, so a warm context
 //     serves whole simulations from recycled memory;
 //   - the Simulation / LinkTable / Network kernel objects, reset() (not
 //     reconstructed) per run so their container capacity carries over.
-// A run through a warm RunContext is byte-identical to a run through a
-// fresh one: exp_test's RunContext.WarmRunsMatchFreshRuns pins this for
-// every algorithm, with and without faults and the result cache, on every
-// artifact (run JSON, metrics, trace, decision log, timeline).
+// Their buffers, the result and any sink contents stay in the arena, so
+// the context must outlive all of them. A run through a warm RunContext is
+// byte-identical to a run through a fresh one: exp_test's
+// RunContext.WarmRunsMatchFreshRuns pins this for every algorithm, with
+// and without faults and the result cache, on every artifact (run JSON,
+// metrics, trace, decision log, timeline). Callers without a context get
+// the same warm memory from the run pool (run_experiment below).
 class RunContext {
  public:
   RunContext() = default;
@@ -156,14 +159,36 @@ class RunContext {
 
 // Builds the whole stack (simulation, network, monitoring, engine) for one
 // configuration and runs it to completion.
+//
+// Pooled runs. A Backend::kSim run whose spec.obs has no sink leases an
+// idle warm arena from a process-wide pool, builds the whole stack inside
+// it, and returns the lease when it ends. The simulation and network are
+// built per run, not kept across runs as RunContext keeps them: kept
+// kernel objects would hold their buffers in the arena between runs, so
+// its reset() could never rewind. The pool grows on demand and is
+// never freed, so it holds at most one arena per concurrent run, and any
+// thread may lease any idle arena. Before the lease ends the result is
+// copied out to the caller's allocator (the global heap, unless the
+// caller installed an arena; a SessionStats copy costs two allocations, a
+// RunResult copy one per non-empty vector) and everything the run
+// allocated in the arena is freed, so nothing it allocated outlives the
+// run and the arena's reset() always rewinds fully. A lease that ends with
+// arena memory still live retires its arena instead of returning it
+// (RunPoolStats::retired; the tests pin it at 0).
+//
+// Runs with sinks attached stay on the global heap on a fresh stack,
+// because sink contents outlive the run; so do tcp runs, which open real
+// sockets. Output is byte-identical either way (exp_test's PooledRuns
+// cases compare the two).
 RunResult run_experiment(const trace::TraceLibrary& library,
                          const ExperimentSpec& spec);
 
-// Epoch-reuse variant: runs the same experiment through a worker-owned
-// RunContext. The first run on a context warms it up (allocates arena
-// blocks, constructs the kernel objects); steady-state runs reuse all of it
-// and perform no global-allocator calls (tests/alloc_budget_test.cc pins
-// this). Output is byte-identical to the fresh-context overload.
+// Epoch-reuse variant: runs the same experiment through a caller-owned
+// RunContext, sinks or not (a tcp run goes through the overload above).
+// The first run on a context warms it up (allocates arena blocks,
+// constructs the kernel objects); steady-state runs reuse all of it and
+// perform no global-allocator calls (tests/alloc_budget_test.cc pins
+// this). Output is byte-identical to the overload above.
 RunResult run_experiment(const trace::TraceLibrary& library,
                          const ExperimentSpec& spec, RunContext& ctx);
 
@@ -175,10 +200,20 @@ RunResult run_experiment(const trace::TraceLibrary& library,
 // against the shared network; every admitted engine runs fault-tolerant.
 // Prefer transient (crash + restart) schedules — detached session engines
 // have no run deadline, and a permanently dead client/server aborts the
-// affected sessions (see session/session_manager.h).
+// affected sessions (see session/session_manager.h). Pooled exactly as
+// run_experiment is.
 session::SessionStats run_session_experiment(
     const trace::TraceLibrary& library, const ExperimentSpec& spec,
     const session::SessionSpec& sessions);
+
+// Totals over the process-wide arena pool behind pooled runs (for tests).
+struct RunPoolStats {
+  int arenas = 0;   // created so far; the pool never frees one
+  int leased = 0;   // leased right now
+  int retired = 0;  // leases that ended with arena memory still live
+  std::uint64_t block_allocs = 0;  // arena blocks malloc'd, all arenas
+};
+RunPoolStats run_pool_stats();
 
 // ---- sweeps over many configurations (the paper's 300) -------------------
 
@@ -191,7 +226,9 @@ struct SweepSpec {
   // an independent run, so they execute on a fixed-size pool. 0 (the
   // default) resolves through WADC_JOBS, falling back to serial; results,
   // ordering and any attached obs output are byte-identical for every jobs
-  // value (see docs/PERFORMANCE.md).
+  // value (see docs/PERFORMANCE.md). Each worker leases one arena from the
+  // run pool for the whole sweep and runs its cells in it as pooled runs;
+  // cells recording into the sweep's sinks run on fresh stacks.
   int jobs = 0;
 
   // Optional wall-clock profiler for the sweep runner itself (setup /

@@ -3,6 +3,12 @@
 // sim::Simulation / net::Network / dataflow::Engine, shares only the
 // read-only trace::TraceLibrary, and writes its result into an index-keyed
 // slot — so parallel execution is byte-identical to serial.
+//
+// Each parallel_for call starts its own std::jthreads and joins them before
+// it returns, so nothing thread-local outlives a call: a thread-local arena
+// would be a new cold one per worker per sweep, never reused. Warm run
+// memory instead lives in the run pool of exp/experiment.h, whose arenas
+// any thread may lease.
 #pragma once
 
 #include <functional>

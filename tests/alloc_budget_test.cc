@@ -1,5 +1,6 @@
 // CI allocation-budget guard: a steady-state sweep run through a warm
-// RunContext must be served from arena memory, not the global allocator.
+// RunContext, and a steady-state pooled session run, must be served from
+// arena memory, not the global allocator.
 //
 // The budget is a small constant, not literally zero, because each run
 // legitimately makes a handful of over-kMaxSmallBytes allocations (arena
@@ -13,7 +14,10 @@
 
 #include <cstdint>
 
+#include "cache/cache_config.h"
 #include "exp/experiment.h"
+#include "fault/spec_io.h"
+#include "session/session_spec.h"
 #include "sim/arena.h"
 #include "trace/library.h"
 
@@ -79,6 +83,65 @@ TEST(AllocBudgetTest, SteadyStateRunsStayWithinGlobalAllocatorBudget) {
   EXPECT_GT(arena_allocs, static_cast<std::uint64_t>(kRuns) * kArenaFloor);
   EXPECT_LE(arena_allocs, static_cast<std::uint64_t>(kRuns) * kArenaCeiling);
   EXPECT_LE(total_news, static_cast<std::uint64_t>(kRuns) * kGlobalBudget);
+#endif
+}
+
+// The same budget for pooled session runs: run_session_experiment without
+// sinks leases a warm arena from the run pool, so a steady-state run pays
+// only its spills and the copy-out of its SessionStats (two allocations).
+TEST(AllocBudgetTest, SteadyStatePooledSessionRunsStayWithinBudget) {
+#if !defined(WADC_POOLED_GLOBAL_NEW)
+  GTEST_SKIP() << "global operator new is not pooled in this build "
+                  "(sanitizer or WADC_POOLED_GLOBAL_NEW=OFF); the budget "
+                  "only holds when container traffic routes through the "
+                  "arena";
+#else
+  const trace::TraceLibrary library(trace::TraceLibraryParams{}, 2026);
+  // The two session shapes the benchmark runs: one-shot sessions over a
+  // shared 8 MiB cache, and global sessions under random crashes,
+  // blackouts and drops.
+  ExperimentSpec cached;
+  cached.algorithm = core::AlgorithmKind::kOneShot;
+  cached.num_servers = 8;
+  cached.iterations = 30;
+  cached.cache = cache::parse_cache_spec("capacity=8m");
+  ExperimentSpec faulted;
+  faulted.algorithm = core::AlgorithmKind::kGlobal;
+  faulted.num_servers = 8;
+  faulted.iterations = 30;
+  faulted.relocation_period_seconds = 300;
+  faulted.fault = fault::parse_fault_spec(
+      "rate crash 1 120\nrate blackout 0.2 60\nhorizon 20000\n"
+      "protect_client 1\ndrop 0.002\n");
+  const session::SessionSpec sessions =
+      session::SessionSpec::concurrent_clients(8);
+
+  for (ExperimentSpec* spec : {&cached, &faulted}) {
+    SCOPED_TRACE(core::algorithm_name(spec->algorithm));
+    // Warm-up: the first runs grow the pooled arena's blocks.
+    for (int i = 0; i < 3; ++i) {
+      spec->config_seed = 11 + static_cast<std::uint64_t>(i);
+      (void)run_session_experiment(library, *spec, sessions);
+    }
+    constexpr int kRuns = 5;
+    constexpr std::uint64_t kGlobalBudget = 16;  // per run, copy-out included
+    const RunPoolStats before = run_pool_stats();
+    for (int i = 0; i < kRuns; ++i) {
+      spec->config_seed = 11 + static_cast<std::uint64_t>(i);
+      const std::uint64_t run_before = sim::global_alloc_stats().global_news;
+      (void)run_session_experiment(library, *spec, sessions);
+      const std::uint64_t run_hits =
+          sim::global_alloc_stats().global_news - run_before;
+      EXPECT_LE(run_hits, kGlobalBudget)
+          << "run " << i << " hit the global allocator " << run_hits
+          << " times";
+    }
+    const RunPoolStats after = run_pool_stats();
+    // One thread, one warm arena, no new blocks, nothing left behind.
+    EXPECT_EQ(after.arenas, before.arenas);
+    EXPECT_EQ(after.block_allocs, before.block_allocs);
+    EXPECT_EQ(after.retired, before.retired);
+  }
 #endif
 }
 

@@ -6,16 +6,19 @@
 #include <cstdlib>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "cache/cache_config.h"
 #include "exp/experiment.h"
 #include "exp/export.h"
+#include "exp/parallel.h"
 #include "exp/report.h"
 #include "fault/spec_io.h"
 #include "obs/decision_log.h"
 #include "obs/metrics.h"
 #include "obs/timeline.h"
 #include "obs/tracer.h"
+#include "session/session_spec.h"
 #include "trace/library.h"
 
 namespace wadc::exp {
@@ -164,6 +167,126 @@ TEST(RunContext, WarmRunsMatchFreshRuns) {
     }
   }
   EXPECT_EQ(runs, 72);
+}
+
+// ---- pooled runs: run_experiment and run_session_experiment without sinks
+
+// One pooled-run case: a single-engine run when `sessions` is 0, else a
+// session run with that many concurrent clients.
+struct PooledCase {
+  ExperimentSpec spec;
+  int sessions = 0;
+  std::string name;
+};
+
+// one-shot and global, cache off and on, with and without the golden fault
+// schedule (tests/golden/golden.fault), as a single engine and as 1 and 8
+// sessions.
+std::vector<PooledCase> pooled_cases() {
+  const fault::FaultSpec faults = fault::parse_fault_spec(
+      "crash 2 300 900\nblackout 1 3 200 500\ndrop 0.01\n");
+  std::vector<PooledCase> cases;
+  for (const core::AlgorithmKind algorithm :
+       {core::AlgorithmKind::kOneShot, core::AlgorithmKind::kGlobal}) {
+    for (const bool cached : {false, true}) {
+      for (const bool faulted : {false, true}) {
+        for (const int sessions : {0, 1, 8}) {
+          PooledCase c;
+          c.spec.algorithm = algorithm;
+          c.spec.num_servers = 4;
+          c.spec.iterations = 40;
+          c.spec.relocation_period_seconds = 150;
+          c.spec.config_seed = 1000 + cases.size();
+          if (cached) c.spec.cache = cache::parse_cache_spec("capacity=8m");
+          if (faulted) c.spec.fault = faults;
+          c.sessions = sessions;
+          c.name = std::string(core::algorithm_name(algorithm)) +
+                   (cached ? " cached" : "") +
+                   (faulted ? " faulted" : " plain") + " sessions " +
+                   std::to_string(sessions);
+          cases.push_back(c);
+        }
+      }
+    }
+  }
+  return cases;
+}
+
+// The run or session JSON of one case. With `sinks` every sink is
+// attached, which keeps the run on a fresh stack on the global heap;
+// without, the run is served from the run pool.
+std::string case_json(const PooledCase& c, bool sinks) {
+  obs::Tracer tracer;
+  obs::MetricsRegistry metrics;
+  obs::DecisionLog decisions;
+  obs::Timeline timeline;
+  ExperimentSpec spec = c.spec;
+  if (sinks) {
+    spec.obs.tracer = &tracer;
+    spec.obs.metrics = &metrics;
+    spec.obs.decisions = &decisions;
+    spec.obs.timeline = &timeline;
+  }
+  std::ostringstream out;
+  if (c.sessions == 0) {
+    write_run_json(run_experiment(shared_library(), spec).stats, out);
+  } else {
+    write_sessions_json(
+        run_session_experiment(
+            shared_library(), spec,
+            session::SessionSpec::concurrent_clients(c.sessions)),
+        out);
+  }
+  return out.str();
+}
+
+std::vector<std::string> fresh_jsons(const std::vector<PooledCase>& cases) {
+  std::vector<std::string> out;
+  for (const PooledCase& c : cases) out.push_back(case_json(c, true));
+  return out;
+}
+
+TEST(PooledRuns, BackToBackRunsOnOneThreadMatchFreshRuns) {
+  const std::vector<PooledCase> cases = pooled_cases();
+  const std::vector<std::string> fresh = fresh_jsons(cases);
+  const RunPoolStats before = run_pool_stats();
+  for (int round = 0; round < 2; ++round) {
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      SCOPED_TRACE(cases[i].name + " round " + std::to_string(round));
+      EXPECT_TRUE(case_json(cases[i], false) == fresh[i])
+          << "the pooled run's JSON differs from the fresh run's";
+      const RunPoolStats pool = run_pool_stats();
+      EXPECT_EQ(pool.leased, 0);
+      // A lease that ends with arena memory still live retires its arena:
+      // the run left 0 outstanding allocations exactly when none retired.
+      EXPECT_EQ(pool.retired, before.retired);
+      // Serial runs take turns on one arena.
+      EXPECT_LE(pool.arenas, before.arenas + 1);
+    }
+  }
+}
+
+TEST(PooledRuns, RunsFromFourThreadsMatchFreshRuns) {
+  const std::vector<PooledCase> cases = pooled_cases();
+  const std::vector<std::string> fresh = fresh_jsons(cases);
+  const RunPoolStats before = run_pool_stats();
+  const std::size_t n = cases.size();
+  // Twice over, so later runs lease arenas other threads warmed.
+  std::vector<std::string> pooled(2 * n);
+  parallel_for(static_cast<int>(2 * n), 4, [&](int i) {
+    const auto slot = static_cast<std::size_t>(i);
+    pooled[slot] = case_json(cases[slot % n], false);
+  });
+  for (std::size_t i = 0; i < pooled.size(); ++i) {
+    SCOPED_TRACE(cases[i % n].name);
+    EXPECT_TRUE(pooled[i] == fresh[i % n])
+        << "the pooled run's JSON differs from the fresh run's";
+  }
+  const RunPoolStats pool = run_pool_stats();
+  EXPECT_EQ(pool.leased, 0);
+  EXPECT_EQ(pool.retired, before.retired);
+  // At most one arena per concurrent run.
+  EXPECT_LE(pool.arenas, before.arenas + 4);
 }
 
 TEST(RunSweep, SpeedupIsBaselineOverCompletion) {
