@@ -3,8 +3,8 @@
 // step) over one shared network and the harness compares admission policies:
 // unbounded admission, load shedding and deadline-aware rejection. For each
 // (policy, rate) cell it reports goodput (completed sessions per simulated
-// hour), the p95 response time of *admitted* sessions, and the shed/deferred
-// fractions — the saturation curves of EXPERIMENTS.md — and writes them as
+// hour), the p95 response time of *admitted* sessions, and the shed
+// fraction — the saturation curves of EXPERIMENTS.md — and writes them as
 // JSON (default BENCH_ext_capacity.json, deterministic for any --jobs
 // value).
 //
@@ -53,7 +53,6 @@ struct CurvePoint {
   double goodput_per_hour = 0;
   double p95_response_seconds = 0;
   double shed_fraction = 0;
-  double deferred_fraction = 0;
 };
 
 }  // namespace
@@ -179,22 +178,19 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(num_policies));
   for (int p = 0; p < num_policies; ++p) {
     for (int k = 0; k < steps; ++k) {
-      std::vector<double> goodput, p95, shed, deferred;
+      std::vector<double> goodput, p95, shed;
       for (int c = 0; c < configs; ++c) {
         const session::SessionStats& st = outcomes[static_cast<std::size_t>(
             (p * steps + k) * configs + c)];
-        const double n = st.total_count() > 0 ? st.total_count() : 1;
         goodput.push_back(st.goodput_per_hour());
         p95.push_back(st.p95_response_seconds());
         shed.push_back(st.shed_fraction());
-        deferred.push_back(st.deferred_count() / n);
       }
       CurvePoint pt;
       pt.rate_per_hour = rates[static_cast<std::size_t>(k)];
       pt.goodput_per_hour = trace::mean_of(goodput);
       pt.p95_response_seconds = trace::mean_of(p95);
       pt.shed_fraction = trace::mean_of(shed);
-      pt.deferred_fraction = trace::mean_of(deferred);
       curves[static_cast<std::size_t>(p)].push_back(pt);
     }
   }
@@ -212,16 +208,16 @@ int main(int argc, char** argv) {
   const double saturation_rate = rates[static_cast<std::size_t>(saturation_step)];
 
   std::printf("policy\trate_per_hour\tx_saturation\tgoodput_per_hour\t"
-              "p95_response_s\tshed_frac\tdeferred_frac\n");
+              "p95_response_s\tshed_frac\n");
   for (int p = 0; p < num_policies; ++p) {
     for (int k = 0; k < steps; ++k) {
       const CurvePoint& pt = curves[static_cast<std::size_t>(p)][
           static_cast<std::size_t>(k)];
-      std::printf("%s\t%.2f\t%.2f\t%.2f\t%.1f\t%.3f\t%.3f\n",
+      std::printf("%s\t%.2f\t%.2f\t%.2f\t%.1f\t%.3f\n",
                   policies[static_cast<std::size_t>(p)].name,
                   pt.rate_per_hour, pt.rate_per_hour / saturation_rate,
                   pt.goodput_per_hour, pt.p95_response_seconds,
-                  pt.shed_fraction, pt.deferred_fraction);
+                  pt.shed_fraction);
     }
     std::fflush(stdout);
   }
@@ -276,8 +272,7 @@ int main(int argc, char** argv) {
           f << "      {\"rate_per_hour\": " << pt.rate_per_hour
             << ", \"goodput_per_hour\": " << pt.goodput_per_hour
             << ", \"p95_response_seconds\": " << pt.p95_response_seconds
-            << ", \"shed_fraction\": " << pt.shed_fraction
-            << ", \"deferred_fraction\": " << pt.deferred_fraction << "}"
+            << ", \"shed_fraction\": " << pt.shed_fraction << "}"
             << (k + 1 < steps ? "," : "") << "\n";
         }
         f << "    ]}" << (p + 1 < num_policies ? "," : "") << "\n";

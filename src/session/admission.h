@@ -66,8 +66,6 @@ class AdmissionController {
   AdmissionController(const AdmissionController&) = delete;
   AdmissionController& operator=(const AdmissionController&) = delete;
 
-  const AdmissionParams& params() const { return params_; }
-
   // An arriving session asks to start. `deadline_seconds` is the session's
   // own deadline (0 = the policy default). kAdmit counts the session as
   // running; kDefer queues it (it comes back from on_completed); kShed
@@ -81,11 +79,11 @@ class AdmissionController {
   int running() const { return running_; }
   int queued() const { return static_cast<int>(queue_.size()); }
 
+ private:
   // The backpressure snapshot as the controller would assemble it now
   // (probe fields plus its own running count).
   LoadSignals signals() const;
 
- private:
   AdmissionParams params_;
   SignalsProbe probe_;
   const ResponsePredictor* predictor_;
