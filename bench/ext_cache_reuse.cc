@@ -45,6 +45,9 @@
 
 namespace {
 
+// Data servers in every run (the client makes one more host).
+constexpr int kServers = 5;
+
 struct ModeUnderTest {
   const char* name;
   bool enabled;
@@ -85,6 +88,12 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "ext_cache_reuse: %s\n", e.what());
       return 2;
     }
+    if (const std::string problem = fault.validate(kServers + 1);
+        !problem.empty()) {
+      std::fprintf(stderr, "ext_cache_reuse: bad fault spec: %s\n",
+                   problem.c_str());
+      return 2;
+    }
   }
 
   const trace::TraceLibrary library(trace::TraceLibraryParams{}, 2026);
@@ -108,7 +117,7 @@ int main(int argc, char** argv) {
   const auto make_spec = [&](int c, const ModeUnderTest& mode) {
     exp::ExperimentSpec spec;
     spec.algorithm = core::AlgorithmKind::kGlobal;
-    spec.num_servers = 5;
+    spec.num_servers = kServers;
     spec.iterations = 30;
     spec.relocation_period_seconds = 300;
     spec.config_seed = base_seed + static_cast<std::uint64_t>(c);

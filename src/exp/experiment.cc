@@ -170,9 +170,7 @@ struct RunStack {
   dataflow::EngineParams engine_params;
 };
 
-// The single-engine run on a simulation/network pair, which the fresh and
-// pooled paths build for the run and the epoch-reuse overload resets in
-// place.
+// The single-engine run on a simulation/network pair built for it.
 RunResult run_on(const ExperimentSpec& spec, sim::Simulation& sim,
                  net::Network& network) {
   RunStack stack(spec, sim, network);
@@ -189,6 +187,13 @@ RunResult run_on(const ExperimentSpec& spec, sim::Simulation& sim,
   result.completion_seconds = result.stats.completion_seconds;
   result.mean_interarrival_seconds = result.stats.mean_interarrival_seconds();
   return result;
+}
+
+// run_on as a run for run_stack below.
+auto single_engine(const ExperimentSpec& spec) {
+  return [&spec](sim::Simulation& sim, net::Network& network) {
+    return run_on(spec, sim, network);
+  };
 }
 
 // The session run on a simulation/network pair.
@@ -302,7 +307,10 @@ using RunOutput =
 // `arena` everything lives on the caller's allocator. Otherwise the pair
 // and everything the run allocates come from `arena`: the result is copied
 // out to the caller's allocator, the original and the stack are freed, and
-// the arena is rewound, so nothing the run allocated outlives it.
+// the arena is rewound, so nothing the run allocated outlives it. The one
+// exception is what a RunContext run records into its sinks: that stays
+// live in the arena, which rewinds again at the end of the first run after
+// the sinks free it.
 template <typename Run>
 RunOutput<Run> run_stack(const trace::TraceLibrary& library,
                          const ExperimentSpec& spec, sim::Arena* arena,
@@ -339,48 +347,15 @@ RunOutput<Run> run_pooled_or_fresh(const trace::TraceLibrary& library,
 RunResult run_experiment(const trace::TraceLibrary& library,
                          const ExperimentSpec& spec) {
   WADC_ASSERT(spec.num_servers >= 2, "need at least two servers");
-  return run_pooled_or_fresh(
-      library, spec, [&spec](sim::Simulation& sim, net::Network& network) {
-        return run_on(spec, sim, network);
-      });
+  return run_pooled_or_fresh(library, spec, single_engine(spec));
 }
 
 RunResult run_experiment(const trace::TraceLibrary& library,
                          const ExperimentSpec& spec, RunContext& ctx) {
   WADC_ASSERT(spec.num_servers >= 2, "need at least two servers");
-  // Epoch reuse exists for deterministic sweeps; a tcp run is a single
-  // wall-clock execution and opens real sockets per run, so route it
-  // through the fresh-context path instead of threading socket lifetime
-  // through RunContext.
+  // A tcp run opens real sockets per run: it takes the fresh stack.
   if (spec.backend != Backend::kSim) return run_experiment(library, spec);
-  const int num_hosts = spec.num_servers + 1;
-
-  // Everything allocated from here to the end of the run comes from the
-  // worker's arena (coroutine frames and Callback spills always; the rest
-  // whenever WADC_POOLED_GLOBAL_NEW is on).
-  sim::Arena::Scope mem(&ctx.arena_);
-
-  // Epoch boundary: rewind the kernel objects instead of reconstructing
-  // them. The previous run's engine already tore down every process frame,
-  // so reset() only rewinds counters and clears queues, keeping capacity.
-  ctx.sim_.reset();
-  ctx.links_ = make_network_config(library, num_hosts, spec.config_seed,
-                                   spec.config);
-  if (ctx.network_ == nullptr) {
-    ctx.network_ =
-        std::make_unique<net::Network>(ctx.sim_, *ctx.links_, spec.network);
-  } else {
-    ctx.network_->reset(*ctx.links_, spec.network);
-  }
-
-  RunResult result = run_on(spec, ctx.sim_, *ctx.network_);
-
-  // Recycle the run's memory. Anything that escaped (the result, recorded
-  // obs data) keeps the arena's outstanding count nonzero, in which case
-  // reset() skips the bump rewind and reuse continues via the free lists —
-  // still allocation-free once warm.
-  ctx.arena_.reset();
-  return result;
+  return run_stack(library, spec, &ctx.arena_, single_engine(spec));
 }
 
 session::SessionStats run_session_experiment(
@@ -426,8 +401,7 @@ std::vector<AlgorithmSeries> run_cells(const trace::TraceLibrary& library,
                                        const SweepSpec& sweep,
                                        const std::vector<SeriesDesc>& descs,
                                        const ProgressFn& progress) {
-  // Each worker hands run_experiment a value copy of the spec; the library
-  // reference must stay shareable without synchronization.
+  // Each worker moves its cell's result into a preallocated slot.
   static_assert(
       std::is_nothrow_move_constructible_v<RunResult> ||
           std::is_copy_constructible_v<RunResult>,
@@ -495,9 +469,7 @@ std::vector<AlgorithmSeries> run_cells(const trace::TraceLibrary& library,
       const std::uint64_t news_before = tls.global_news;
       results[static_cast<std::size_t>(s)][static_cast<std::size_t>(c)] =
           run_stack(library, spec, pooled(spec) ? &arena : nullptr,
-                    [&spec](sim::Simulation& sim, net::Network& network) {
-                      return run_on(spec, sim, network);
-                    });
+                    single_engine(spec));
       if (prof != nullptr) {
         // Allocator traffic per cell. Warmth-dependent (a cold arena
         // mallocs its blocks, a warm one doesn't), so these go to the

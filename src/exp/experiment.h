@@ -3,8 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <optional>
 #include <vector>
 
 #include "cache/cache_config.h"
@@ -17,12 +15,10 @@
 #include "monitor/monitoring_system.h"
 #include "obs/obs.h"
 #include "obs/profiler.h"
-#include "net/link_table.h"
 #include "net/network.h"
 #include "session/session_spec.h"
 #include "session/session_stats.h"
 #include "sim/arena.h"
-#include "sim/simulation.h"
 #include "trace/library.h"
 #include "workload/image_workload.h"
 
@@ -117,28 +113,24 @@ struct RunResult {
   double mean_interarrival_seconds = 0;
 };
 
-// Caller-owned reusable state for single-engine runs (epoch memory reuse),
-// for callers that keep one context across many runs: perfbench's fig6
-// loop and the tests. Runs on one context must be serialized. It carries:
-//   - a sim::Arena, installed as the thread's current arena for the
-//     duration of each run and reset() between runs, so a warm context
-//     serves whole simulations from recycled memory;
-//   - the Simulation / LinkTable / Network kernel objects, reset() (not
-//     reconstructed) per run so their container capacity carries over.
-// Their buffers, the result and any sink contents stay in the arena, so
-// the context must outlive all of them. A run through a warm RunContext is
-// byte-identical to a run through a fresh one: exp_test's
+// A caller-owned warm arena for single-engine runs, for callers that keep
+// one across many runs: perfbench's fig6 loop and the tests. Runs on one
+// context must be serialized. Each run builds its whole stack inside the
+// context's arena and copies its result out, exactly as a pooled run does
+// in a leased arena (run_experiment below), so a sink-free run leaves
+// nothing behind and the arena rewinds fully. Sink contents recorded by a
+// run live in the arena, so the context must outlive them; it need not
+// outlive the results. A run through a warm RunContext is byte-identical
+// to a run through a fresh stack: exp_test's
 // RunContext.WarmRunsMatchFreshRuns pins this for every algorithm, with
 // and without faults and the result cache, on every artifact (run JSON,
-// metrics, trace, decision log, timeline). Callers without a context get
-// the same warm memory from the run pool (run_experiment below).
+// metrics, trace, decision log, timeline).
 class RunContext {
  public:
   RunContext() = default;
   RunContext(const RunContext&) = delete;
   RunContext& operator=(const RunContext&) = delete;
 
-  sim::Arena& arena() { return arena_; }
   // Arena + global-allocator counters for this context's runs; feeds the
   // profiler's sim.alloc.* counters. Warmth-dependent, hence never exported
   // through deterministic (golden) channels.
@@ -150,11 +142,6 @@ class RunContext {
                                   RunContext& ctx);
 
   sim::Arena arena_;
-  sim::Simulation sim_;
-  // The per-run network configuration is *assigned* into this slot so the
-  // table's link vector reuses its capacity run over run.
-  std::optional<net::LinkTable> links_;
-  std::unique_ptr<net::Network> network_;  // constructed on the first run
 };
 
 // Builds the whole stack (simulation, network, monitoring, engine) for one
@@ -163,18 +150,18 @@ class RunContext {
 // Pooled runs. A Backend::kSim run whose spec.obs has no sink leases an
 // idle warm arena from a process-wide pool, builds the whole stack inside
 // it, and returns the lease when it ends. The simulation and network are
-// built per run, not kept across runs as RunContext keeps them: kept
-// kernel objects would hold their buffers in the arena between runs, so
-// its reset() could never rewind. The pool grows on demand and is
-// never freed, so it holds at most one arena per concurrent run, and any
-// thread may lease any idle arena. Before the lease ends the result is
-// copied out to the caller's allocator (the global heap, unless the
-// caller installed an arena; a SessionStats copy costs two allocations, a
-// RunResult copy one per non-empty vector) and everything the run
-// allocated in the arena is freed, so nothing it allocated outlives the
-// run and the arena's reset() always rewinds fully. A lease that ends with
-// arena memory still live retires its arena instead of returning it
-// (RunPoolStats::retired; the tests pin it at 0).
+// built per run, never kept across runs: kept kernel objects would hold
+// their buffers in the arena between runs, so its reset() could never
+// rewind. The pool grows on demand and is never freed, so it holds at
+// most one arena per concurrent run, and any thread may lease any idle
+// arena. Before the lease ends the result is copied out to the caller's
+// allocator (the global heap, unless the caller installed an arena; a
+// SessionStats copy costs two allocations, a RunResult copy one per
+// non-empty vector) and everything the run allocated in the arena is
+// freed, so nothing it allocated outlives the run and the arena's reset()
+// always rewinds fully. A lease that ends with arena memory still live
+// retires its arena instead of returning it (RunPoolStats::retired; the
+// tests pin it at 0).
 //
 // Runs with sinks attached stay on the global heap on a fresh stack,
 // because sink contents outlive the run; so do tcp runs, which open real
@@ -183,12 +170,12 @@ class RunContext {
 RunResult run_experiment(const trace::TraceLibrary& library,
                          const ExperimentSpec& spec);
 
-// Epoch-reuse variant: runs the same experiment through a caller-owned
-// RunContext, sinks or not (a tcp run goes through the overload above).
-// The first run on a context warms it up (allocates arena blocks,
-// constructs the kernel objects); steady-state runs reuse all of it and
-// perform no global-allocator calls (tests/alloc_budget_test.cc pins
-// this). Output is byte-identical to the overload above.
+// The same run in a caller-owned RunContext's arena, sinks or not (a tcp
+// run goes through the overload above). The first run on a context grows
+// its arena blocks; steady-state runs reuse them and make only a handful
+// of global-allocator calls, the result's copy-out and spills included
+// (tests/alloc_budget_test.cc pins the budget). Output is byte-identical
+// to the overload above.
 RunResult run_experiment(const trace::TraceLibrary& library,
                          const ExperimentSpec& spec, RunContext& ctx);
 

@@ -1,6 +1,7 @@
 #include "fault/fault_schedule.h"
 
 #include <cmath>
+#include <cstdio>
 
 #include "common/assert.h"
 #include "common/rng.h"
@@ -12,6 +13,13 @@ namespace {
 // schedule is a pure function of (spec, num_hosts, seed).
 constexpr std::uint64_t kCrashStream = 0xc4a5'0000'0000'0000ULL;
 constexpr std::uint64_t kBlackoutStream = 0xb1ac'0000'0000'0000ULL;
+
+// An event count for a message: whole below a trillion, else in e-notation.
+std::string count_text(double n) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, n < 1e12 ? "%.0f" : "%.3g", n);
+  return buf;
+}
 
 }  // namespace
 
@@ -114,6 +122,17 @@ std::string FaultSpec::validate(int num_hosts) const {
     if (random.blackout_rate_per_hour > 0 &&
         !(random.mean_blackout_seconds > 0)) {
       return "mean blackout length must be > 0";
+    }
+    const double crashable = num_hosts - (random.protect_client ? 1 : 0);
+    const double pairs = static_cast<double>(num_hosts) * (num_hosts - 1) / 2;
+    const double expected =
+        random.horizon_seconds / 3600 *
+        (random.crash_rate_per_hour * crashable +
+         random.blackout_rate_per_hour * pairs);
+    if (!(expected <= kMaxRandomFaultEvents)) {
+      return "random faults would draw about " + count_text(expected) +
+             " events over the horizon, more than the bound of " +
+             count_text(kMaxRandomFaultEvents);
     }
   }
   return {};

@@ -72,6 +72,11 @@ struct FaultSchedule {
                               std::uint64_t seed);
 };
 
+// The most random fault events a spec may expect to draw. A schedule is
+// drawn whole before the run starts, so its cost grows with the horizon
+// without limit; the benchmark's churn schedule draws about 84.
+inline constexpr double kMaxRandomFaultEvents = 1'000'000;
+
 // Declarative fault description: explicit events plus optional random rates.
 // This is what rides on ExperimentSpec and what --fault-spec files parse to.
 struct FaultSpec {
@@ -89,7 +94,10 @@ struct FaultSpec {
   }
 
   // Returns an empty string if the spec is well-formed for a run with
-  // `num_hosts` hosts, otherwise a description of the first problem.
+  // `num_hosts` hosts, otherwise a description of the first problem. A
+  // spec whose random processes expect more than kMaxRandomFaultEvents
+  // events over the horizon (horizon/3600 x (crash rate x crashable hosts
+  // + blackout rate x host pairs)) is a problem.
   std::string validate(int num_hosts) const;
 
   // Expands explicit events plus (if enabled) a randomized draw into one

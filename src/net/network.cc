@@ -43,43 +43,13 @@ const char* transfer_outcome_name(TransferOutcome outcome) {
 Network::Network(sim::Simulation& sim, const LinkTable& links,
                  const NetworkParams& params)
     : sim_(sim),
-      links_(&links),
+      links_(links),
       params_(params),
       active_(static_cast<std::size_t>(links.num_hosts()), 0),
       host_dead_(static_cast<std::size_t>(links.num_hosts()), 0),
       blackout_depth_(pair_count(links.num_hosts()), 0) {
   const std::string problem = params_.validate();
   WADC_ASSERT(problem.empty(), "bad NetworkParams: ", problem);
-}
-
-void Network::reset(const LinkTable& links, const NetworkParams& params) {
-  // A finished run may leave transfers queued or in flight (e.g. probes
-  // outstanding when the engine completes); their coroutine frames — and
-  // the awaiters these entries point to — were destroyed with the
-  // simulation, so the bookkeeping entries are dropped without touching
-  // them.
-  pending_.clear();
-  active_transfers_.clear();
-  transport_ = nullptr;  // backends are per-run; reattach after reset
-  links_ = &links;
-  params_ = params;
-  const std::string problem = params_.validate();
-  WADC_ASSERT(problem.empty(), "bad NetworkParams: ", problem);
-  const auto hosts = static_cast<std::size_t>(links.num_hosts());
-  active_.assign(hosts, 0);
-  observers_.clear();
-  next_seq_ = 0;
-  transfers_completed_ = 0;
-  transfers_failed_ = 0;
-  transfers_timed_out_ = 0;
-  bytes_delivered_ = 0;
-  inflight_bytes_ = 0;
-  session_bytes_delivered_.clear();
-  host_dead_.assign(hosts, 0);
-  blackout_depth_.assign(pair_count(links.num_hosts()), 0);
-  drop_probability_ = 0;
-  drop_rng_.reset();
-  set_obs(obs::Obs{});  // detach; also nulls every cached counter pointer
 }
 
 void Network::add_observer(TransferObserver observer) {
@@ -346,7 +316,7 @@ void Network::start(const Pending& p) {
   } else {
     const sim::SimTime tx_begin = now + params_.startup_seconds;
     const sim::SimTime end =
-        links_->finish_time(p.src, p.dst, tx_begin, p.bytes);
+        links_.finish_time(p.src, p.dst, tx_begin, p.bytes);
     WADC_ASSERT(end >= tx_begin, "transfer finishes before it starts");
 
     auto complete = [this, seq] { on_complete(seq); };

@@ -190,18 +190,9 @@ class Network {
   // keeps the simulated bandwidth-trace integrator. Admission, priorities,
   // fault gating, timeouts, records, and observers stay in Network either
   // way; the backend only decides *when the bytes actually arrive*. Call
-  // before traffic flows; reset() detaches.
+  // before traffic flows.
   void set_transport(Transport* transport);
   Transport* transport() const { return transport_; }
-
-  // Epoch boundary for sweep workers: rebinds the network to a new link
-  // table and parameter set and rewinds every counter, queue, observer
-  // list, obs attachment, and fault flag to its just-constructed value —
-  // keeping container capacity, so a reused Network allocates nothing in
-  // steady state. The caller must have torn down all processes first
-  // (Simulation::reset()); a reset Network behaves byte-identically to a
-  // freshly constructed one.
-  void reset(const LinkTable& links, const NetworkParams& params);
 
   // Attaches tracing/metrics (see obs::Obs). Emits per-transfer enqueue /
   // queue-wait / transfer events on the source host's link lanes plus
@@ -210,9 +201,9 @@ class Network {
   void set_obs(const obs::Obs& obs);
 
   sim::Simulation& simulation() { return sim_; }
-  const LinkTable& links() const { return *links_; }
+  const LinkTable& links() const { return links_; }
   const NetworkParams& params() const { return params_; }
-  int num_hosts() const { return links_->num_hosts(); }
+  int num_hosts() const { return links_.num_hosts(); }
 
   bool host_busy(HostId h) const;  // at capacity
   int host_active_transfers(HostId h) const;
@@ -322,10 +313,7 @@ class Network {
 
   sim::Simulation& sim_;
   Transport* transport_ = nullptr;  // null = simulated integrator
-  // Pointer, not reference: reset() rebinds it to the next run's table.
-  // Never null; may dangle between a run's teardown and the next reset(),
-  // during which nothing dereferences it.
-  const LinkTable* links_;
+  const LinkTable& links_;
   NetworkParams params_;
   std::vector<int> active_;  // concurrent transfers per host
   // Sorted: higher priority first, then seq. Every entry is blocked (not

@@ -70,10 +70,10 @@ void* Arena::bump(std::size_t bytes) {
 void Arena::reset() {
   ++stats_.resets;
   if (stats_.outstanding != 0) {
-    // Live allocations escaped the epoch (e.g. per-run results or obs sinks
-    // still owned by the caller). Rewinding would recycle their storage, so
-    // reuse continues through the free lists alone — safe, and still
-    // allocation-free once warm.
+    // Live allocations escaped the epoch (e.g. what a run recorded into
+    // obs sinks the caller still owns). Rewinding would recycle their
+    // storage, so reuse continues through the free lists alone — safe, and
+    // still allocation-free once warm.
     return;
   }
   for (std::size_t i = 0; i < kNumClasses; ++i) free_[i] = nullptr;

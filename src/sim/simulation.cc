@@ -126,16 +126,4 @@ void Simulation::terminate_all() {
   tearing_down_ = false;
 }
 
-void Simulation::reset() {
-  terminate_all();
-  clock_ = nullptr;  // reused contexts return to pure discrete-event time
-  now_ = 0;
-  next_seq_ = 0;
-  stale_before_ = 0;
-  next_process_id_ = 1;
-  events_processed_ = 0;
-  stop_requested_ = false;
-  process_exception_ = nullptr;
-}
-
 }  // namespace wadc::sim

@@ -116,13 +116,6 @@ class Simulation {
   // process frames must call it before those members die.
   void terminate_all();
 
-  // Epoch boundary: terminate_all() plus a rewind of every counter to its
-  // just-constructed value, keeping the event queue's heap and slot
-  // capacity. A reset simulation replays byte-identically to a freshly
-  // constructed one, so sweep workers reuse one Simulation across runs
-  // instead of reconstructing it.
-  void reset();
-
   std::size_t live_process_count() const { return processes_.size(); }
   std::uint64_t events_processed() const { return events_processed_; }
   // Keys in the event queue's heap (read-only, for tests).

@@ -39,9 +39,7 @@ TEST(AllocBudgetTest, SteadyStateRunsStayWithinGlobalAllocatorBudget) {
   spec.config_seed = 11;
 
   RunContext ctx;
-  // Warm-up: first runs grow arena blocks, container capacity, and the
-  // trace cache. Results are discarded so nothing stays outstanding and
-  // reset() can rewind between runs.
+  // Warm-up: the first runs grow the arena's blocks and the trace cache.
   for (int i = 0; i < 3; ++i) {
     (void)run_experiment(library, spec, ctx);
   }
@@ -75,9 +73,9 @@ TEST(AllocBudgetTest, SteadyStateRunsStayWithinGlobalAllocatorBudget) {
   // window that cannot act, a payload rebuild reuses its vector when no
   // message holds it, and the planner costs its candidate moves in place
   // without copying a placement or building a result per candidate.
-  // Measured: 1,596 per run (gcc 12, -O2); the ceiling is 1.25x that, so a
-  // saving that silently goes away fails here, and the floor (half of it)
-  // still says "runs allocate through the arena".
+  // Measured: 1,624 per run (gcc 12, -O2); the ceiling is ~1.23x that, so a
+  // saving that silently goes away fails here, and the floor (about half of
+  // it) still says "runs allocate through the arena".
   constexpr std::uint64_t kArenaFloor = 800;     // per run
   constexpr std::uint64_t kArenaCeiling = 2000;  // per run
   EXPECT_GT(arena_allocs, static_cast<std::uint64_t>(kRuns) * kArenaFloor);

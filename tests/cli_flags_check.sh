@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Command-line contract shared by every binary (docs/ARCHITECTURE.md,
 # "Input grammar"): --help exits 0, an unknown flag exits 2, and an empty
-# file path exits 2 with a first stderr line naming the flag. Nothing runs
-# in any of these cases.
+# file path exits 2 with a first stderr line naming the flag. The two
+# session benches that take --fault-spec also exit 2 on a spec their host
+# count cannot run. Nothing runs in any of these cases.
 #
 # Usage: cli_flags_check.sh <wadc_run> <wadc_report> <bench binary>...
 set -u
@@ -15,6 +16,9 @@ TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
 
 fail=0
+
+# Host 99 does not exist in a 5-server run.
+printf 'crash 99 10 20\n' > "$TMP/host99.fault"
 
 # expect <name> <exit code> <text the first stderr line must contain> <cmd...>
 expect() {
@@ -70,6 +74,8 @@ for bin in "$@"; do
       for flag in --out --fault-spec; do
         expect "$name $flag=" 2 "$flag" "$bin" "$flag="
       done
+      expect "$name crash on host 99" 2 "bad fault spec" \
+        "$bin" --fault-spec="$TMP/host99.fault" --out="$TMP/out.json"
       ;;
   esac
 done

@@ -3,9 +3,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <vector>
 
+#include "common/parse.h"
 #include "common/rng.h"
 #include "sim/event_queue.h"
 
@@ -219,18 +219,14 @@ TEST(EventQueueCancelStress, RescheduleRecyclesSlotsWithoutResurrection) {
 
 // Wall-clock-bounded fuzz for CI: runs rounds with fresh seeds until
 // WADC_FUZZ_SECONDS (default 2) of wall time have elapsed. The sanitizer
-// job sets WADC_FUZZ_SECONDS=60 for a deeper soak.
+// job sets WADC_FUZZ_SECONDS=60 for a deeper soak. The value must be a
+// whole number >= 1; anything else exits 2 rather than quietly shrinking
+// the soak to the default.
 TEST(EventQueueFuzzBounded, CancellationSoak) {
-  double budget_seconds = 2.0;
-  if (const char* env = std::getenv("WADC_FUZZ_SECONDS")) {
-    char* end = nullptr;
-    const double v = std::strtod(env, &end);
-    if (end != env && *end == '\0' && v > 0) budget_seconds = v;
-  }
+  const int budget_seconds =
+      env_number<int>("WADC_FUZZ_SECONDS", 1).value_or(2);
   const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(budget_seconds));
+      std::chrono::steady_clock::now() + std::chrono::seconds(budget_seconds);
   std::uint64_t seed = 0x5eed;
   long long processed = 0;
   int rounds = 0;

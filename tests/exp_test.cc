@@ -122,8 +122,8 @@ RunArtifacts run_with_sinks(const ExperimentSpec& base, RunContext* ctx) {
           timeline_out.str()};
 }
 
-// The bench sweeps run through reused worker contexts and wadc_run through
-// fresh stacks; both must produce the same bytes.
+// perfbench's fig6 loop runs in one warm RunContext and wadc_run's runs
+// with sinks on fresh stacks; both must produce the same bytes.
 TEST(RunContext, WarmRunsMatchFreshRuns) {
   const fault::FaultSpec faults = fault::parse_fault_spec(
       "crash 2 300 900\nblackout 1 3 200 500\ndrop 0.01\n");
@@ -167,6 +167,30 @@ TEST(RunContext, WarmRunsMatchFreshRuns) {
     }
   }
   EXPECT_EQ(runs, 72);
+}
+
+// A sink-free run through a context builds its stack in the context's
+// arena and copies its result out, so it leaves nothing live there and the
+// arena rewinds fully after every run. Each result also matches a pooled
+// run's byte for byte.
+TEST(RunContext, SinkFreeRunsLeaveNothingInTheArena) {
+  RunContext ctx;
+  for (std::uint64_t seed = 1000; seed <= 1003; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ExperimentSpec spec;
+    spec.algorithm = core::AlgorithmKind::kGlobal;
+    spec.num_servers = 4;
+    spec.iterations = 40;
+    spec.config_seed = seed;
+    const std::uint64_t allocs_before = ctx.arena_stats().allocs;
+    std::ostringstream warm, pooled;
+    write_run_json(run_experiment(shared_library(), spec, ctx).stats, warm);
+    EXPECT_GT(ctx.arena_stats().allocs, allocs_before);
+    EXPECT_EQ(ctx.arena_stats().outstanding, 0u);
+    write_run_json(run_experiment(shared_library(), spec).stats, pooled);
+    EXPECT_TRUE(warm.str() == pooled.str())
+        << "the context run's JSON differs from the pooled run's";
+  }
 }
 
 // ---- pooled runs: run_experiment and run_session_experiment without sinks

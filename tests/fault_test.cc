@@ -104,6 +104,34 @@ TEST(FaultSpec, ValidateCatchesBadEvents) {
   EXPECT_FALSE(spec.validate(4).empty());
 }
 
+// A random schedule is drawn whole before the run, so validate() bounds
+// the number of events its processes expect over the horizon.
+TEST(FaultSpec, ValidateBoundsTheExpectedRandomEventCount) {
+  FaultSpec spec;
+  // 3 host pairs x 3600 blackouts an hour x 1e8 s / 3600 = 3e8 events.
+  spec.random.blackout_rate_per_hour = 3600;
+  spec.random.mean_blackout_seconds = 0.001;
+  spec.random.horizon_seconds = 1e8;
+  const std::string problem = spec.validate(3);
+  EXPECT_NE(problem.find("about 300000000 events"), std::string::npos)
+      << problem;
+  EXPECT_NE(problem.find("bound of 1000000"), std::string::npos) << problem;
+  // 92 hours: 993,600 events, just under the bound.
+  spec.random.horizon_seconds = 92 * 3600;
+  EXPECT_EQ(spec.validate(3), "");
+
+  // Crashes count once per crashable host: 120 hours at 1000 an hour on 8
+  // servers is 960,000 events, and 1,080,000 once the client may crash too.
+  FaultSpec crashes;
+  crashes.random.crash_rate_per_hour = 1000;
+  crashes.random.horizon_seconds = 120 * 3600;
+  EXPECT_EQ(crashes.validate(9), "");
+  crashes.random.protect_client = false;
+  EXPECT_NE(crashes.validate(9).find("about 1080000 events"),
+            std::string::npos)
+      << crashes.validate(9);
+}
+
 TEST(FaultSpec, BuildMergesExplicitAndRandom) {
   FaultSpec spec;
   spec.crashes.push_back({1, 100.0, 200.0});

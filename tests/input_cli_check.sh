@@ -84,6 +84,19 @@ expect_reject "--timeline-interval=nan" "'nan'" \
   "$RUN" --timeline-interval=nan --timeline-out="$TMP/timeline.csv" \
   "${small[@]}"
 expect_reject "--period=0x10" "'0x10'" "$RUN" --period=0x10 "${small[@]}"
+# The sampler wakes once per interval, so a tiny one never lets the clock
+# reach the end of the run (and its samples fill memory, ~1.3 GB in 2 s):
+# the floor is 1 simulated second. Without --timeline-out no sampler runs,
+# so a binary without the floor fails here at once instead of hanging.
+expect_reject "--timeline-interval=1e-300" "'1e-300'" \
+  timeout 10 "$RUN" --timeline-interval=1e-300 "${small[@]}"
+if ! timeout 10 "$RUN" --timeline-interval=1 \
+     --timeline-out="$TMP/timeline.csv" "${small[@]}" > "$TMP/out" \
+     2> "$TMP/err"; then
+  echo "FAIL: --timeline-interval=1 was rejected:" >&2
+  sed 's/^/  /' "$TMP/err" >&2
+  fail=1
+fi
 
 # --- fault-spec lines -------------------------------------------------------
 
@@ -93,6 +106,15 @@ expect_reject "fault crash restart abc" "'abc'" \
 printf 'crash 1 1e3x\n' > "$TMP/time.fault"
 expect_reject "fault crash time 1e3x" "'1e3x'" \
   "$RUN" --fault-spec="$TMP/time.fault" "${small[@]}"
+# A random schedule is drawn whole before the run: 3 links x 3600
+# blackouts an hour over 1e6 s expect 3e6 events, past the bound of 1e6.
+# (Without the bound this one costs ~300 MB; larger horizons grow
+# linearly.)
+printf 'rate blackout 3600 0.001\nhorizon 1e6\n' > "$TMP/horizon.fault"
+expect_reject "fault horizon 1e6 at 3600 blackouts an hour" \
+  "about 3000000 events" \
+  timeout 20 "$RUN" --fault-spec="$TMP/horizon.fault" --servers=2 \
+  --iterations=2
 
 # --- session-spec lines -----------------------------------------------------
 

@@ -129,7 +129,8 @@ void usage() {
       "  --timeline-out=FILE    write the last run's sim-time timeline\n"
       "                         (.json for JSON, anything else CSV)\n"
       "  --timeline-interval=SECONDS\n"
-      "                         timeline sampling interval (default 60)\n"
+      "                         timeline sampling interval in simulated\n"
+      "                         seconds, at least 1 (default 60)\n"
       "  --decisions-out=FILE   write the last run's adaptation-decision log\n"
       "                         (one JSON object per line)\n"
       "  --profile-out=FILE     write a wall-clock phase profile of this\n"
@@ -192,8 +193,8 @@ bool parse(int argc, char** argv, Options& opt) {
        path_flag("--trace-out", opt.trace_out_path),
        path_flag("--metrics-out", opt.metrics_out_path),
        path_flag("--timeline-out", opt.timeline_out_path),
-       parsed_flag("--timeline-interval", opt.spec.timeline_sample_seconds,
-                   parse_positive, "a number > 0"),
+       number_flag("--timeline-interval", opt.spec.timeline_sample_seconds,
+                   1.0),
        path_flag("--decisions-out", opt.decisions_out_path),
        path_flag("--profile-out", opt.profile_out_path),
        path_flag("--bench-out", opt.bench_out_path),
