@@ -3,16 +3,20 @@
 #include <algorithm>
 
 #include "common/assert.h"
+#include "common/model_constants.h"
 
 namespace wadc::core {
 
-CostModel::CostModel(const CombinationTree& tree,
-                     const CostModelParams& params)
-    : tree_(tree), params_(params) {
-  WADC_ASSERT(params_.partition_bytes > 0, "non-positive partition size");
-  WADC_ASSERT(params_.pessimistic_bandwidth > 0,
-              "non-positive pessimistic bandwidth");
-  WADC_ASSERT(params_.disk_bytes_per_second > 0, "non-positive disk rate");
+namespace {
+
+// The transfer cost of one partition over a link with no measurement.
+constexpr double kPessimisticEdgeSeconds =
+    kMessageStartupSeconds + kMeanImageBytes / kPessimisticBandwidth;
+
+}  // namespace
+
+CostModel::CostModel(const CombinationTree& tree, const CostModelParams&)
+    : tree_(tree) {
   inputs_.resize(static_cast<std::size_t>(tree_.num_operators()));
   for (OperatorId op = 0; op < tree_.num_operators(); ++op) {
     const Child children[2] = {tree_.left_child(op), tree_.right_child(op)};
@@ -28,11 +32,11 @@ CostModel::CostModel(const CombinationTree& tree,
 }
 
 double CostModel::compute_cost() const {
-  return params_.compute_seconds_per_byte * params_.partition_bytes;
+  return kComputeSecondsPerByte * kMeanImageBytes;
 }
 
 double CostModel::disk_cost() const {
-  return params_.partition_bytes / params_.disk_bytes_per_second;
+  return kMeanImageBytes / kDiskBytesPerSecond;
 }
 
 double CostModel::edge_cost(net::HostId from, net::HostId to,
@@ -42,11 +46,10 @@ double CostModel::edge_cost(net::HostId from, net::HostId to,
   const auto bw = r.bandwidth(from, to);
   if (!bw) {
     if (unknown != nullptr) unknown->insert(make_pair_key(from, to));
-    return params_.startup_seconds +
-           params_.partition_bytes / params_.pessimistic_bandwidth;
+    return kPessimisticEdgeSeconds;
   }
   WADC_ASSERT(*bw > 0, "resolver returned non-positive bandwidth");
-  return params_.startup_seconds + params_.partition_bytes / *bw;
+  return kMessageStartupSeconds + kMeanImageBytes / *bw;
 }
 
 CostModel::EdgeMemo::EdgeMemo(const CostModel& model, BandwidthResolver& r,
@@ -62,7 +65,6 @@ struct CostModel::Walk {
   std::set<HostPair>* unknown;
   double* memo;  // EdgeMemo::costs_, or null to ask the resolver every time
   OpScratch* ops;
-  double pessimistic_edge = 0;
   std::uint64_t subtrees_pruned = 0;
   std::uint64_t edges_resolved = 0;
 
@@ -82,8 +84,6 @@ double CostModel::walk_edge(net::HostId from, net::HostId to,
 }
 
 double CostModel::walk(Walk& w) const {
-  w.pessimistic_edge = params_.startup_seconds +
-                       params_.partition_bytes / params_.pessimistic_bandwidth;
   // Upper bounds, children before parents. A bound uses host co-location
   // (free to check) but resolves no bandwidth: every cross-host edge runs
   // at the pessimistic bandwidth.
@@ -94,7 +94,7 @@ double CostModel::walk(Walk& w) const {
       const double sub = in.op == kNoOperator
                              ? disk_cost()
                              : w.ops[static_cast<std::size_t>(in.op)].bound;
-      const double edge = w.host(in) == here ? 0.0 : w.pessimistic_edge;
+      const double edge = w.host(in) == here ? 0.0 : kPessimisticEdgeSeconds;
       best = std::max(best, sub + edge);
     }
     w.ops[static_cast<std::size_t>(op)].bound = best + compute_cost();
@@ -124,7 +124,7 @@ double CostModel::subtree_cost(OperatorId op, Walk& w) const {
         inputs[i].op == kNoOperator
             ? disk_cost()
             : w.ops[static_cast<std::size_t>(inputs[i].op)].bound;
-    ubs[i] = sub + (hosts[i] == here ? 0.0 : w.pessimistic_edge);
+    ubs[i] = sub + (hosts[i] == here ? 0.0 : kPessimisticEdgeSeconds);
   }
   const int first = ubs[0] >= ubs[1] ? 0 : 1;
   const int second = 1 - first;

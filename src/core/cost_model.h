@@ -28,19 +28,18 @@
 
 namespace wadc::core {
 
-struct CostModelParams {
-  double startup_seconds = 0.05;          // 50 ms message startup (§4)
-  double partition_bytes = 128.0 * 1024;  // expected image size (§4)
-  double compute_seconds_per_byte = 7e-6; // 7 us/pixel, one byte per pixel
-  double disk_bytes_per_second = 3.0e6;   // 3 MB/s (§4)
-  // Bandwidth assumed for links with no measurement: pessimistic, so it is
-  // simultaneously (a) the safe upper bound used by branch and bound and
-  // (b) an incentive for the planning driver to probe unknown links that
-  // actually matter. Must not exceed the lowest bandwidth that can occur
-  // (the trace generator floors at 500 B/s), or branch-and-bound pruning
-  // would no longer be safe.
-  double pessimistic_bandwidth = 400.0;
-};
+// Bandwidth assumed for links with no measurement: pessimistic, so it is
+// simultaneously (a) the safe upper bound used by branch and bound and
+// (b) an incentive for the planning driver to probe unknown links that
+// actually matter. Must not exceed the lowest bandwidth that can occur (the
+// trace generator floors at 500 B/s), or branch-and-bound pruning would no
+// longer be safe.
+inline constexpr double kPessimisticBandwidth = 400.0;
+
+// The model prices one partition of the §4 mean image size
+// (common/model_constants.h) and sets nothing per run; this empty type only
+// keeps CostModel's two-argument constructor for existing callers.
+struct CostModelParams {};
 
 class CostModel {
   // Per-operator scratch of one walk: the optimistic upper bound on the
@@ -53,10 +52,9 @@ class CostModel {
 
  public:
   // The model reads `tree`'s shape once, here; the tree must outlive it.
-  CostModel(const CombinationTree& tree, const CostModelParams& params);
+  CostModel(const CombinationTree& tree, const CostModelParams&);
 
   const CombinationTree& tree() const { return tree_; }
-  const CostModelParams& params() const { return params_; }
 
   // Cost of one composition (seconds of CPU per partition).
   double compute_cost() const;
@@ -136,7 +134,6 @@ class CostModel {
   int trace_path(const OpScratch* ops, std::vector<OperatorId>& path) const;
 
   const CombinationTree& tree_;
-  CostModelParams params_;
   std::vector<std::array<Input, 2>> inputs_;  // by OperatorId
 };
 

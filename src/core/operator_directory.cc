@@ -7,8 +7,7 @@
 
 namespace wadc::core {
 
-OperatorDirectory::OperatorDirectory(const Placement& initial, MergeRule rule)
-    : rule_(rule) {
+OperatorDirectory::OperatorDirectory(const Placement& initial) {
   locations_.reserve(static_cast<std::size_t>(initial.num_operators()));
   for (OperatorId op = 0; op < initial.num_operators(); ++op) {
     locations_.push_back(initial.location(op));
@@ -46,26 +45,9 @@ void OperatorDirectory::apply_entry(OperatorId op, net::HostId location,
   }
 }
 
-bool OperatorDirectory::dominates(const OperatorDirectory& other) const {
-  WADC_ASSERT(timestamps_.size() == other.timestamps_.size(),
-              "directories of different sizes");
-  bool strictly_greater = false;
-  for (std::size_t i = 0; i < timestamps_.size(); ++i) {
-    if (timestamps_[i] < other.timestamps_[i]) return false;
-    if (timestamps_[i] > other.timestamps_[i]) strictly_greater = true;
-  }
-  return strictly_greater;
-}
-
 bool OperatorDirectory::merge(const OperatorDirectory& incoming) {
   WADC_ASSERT(timestamps_.size() == incoming.timestamps_.size(),
               "directories of different sizes");
-  if (rule_ == MergeRule::kVectorDominance) {
-    if (!incoming.dominates(*this)) return false;
-    locations_ = incoming.locations_;
-    timestamps_ = incoming.timestamps_;
-    return true;
-  }
   bool changed = false;
   for (std::size_t i = 0; i < timestamps_.size(); ++i) {
     if (incoming.timestamps_[i] > timestamps_[i]) {

@@ -11,9 +11,8 @@
 // incoming timestamp vector *dominates* the receiver's. With concurrent
 // moves of different operators (which the staggered epochs allow within one
 // tree level), neither vector dominates and the whole-vector rule can stall
-// propagation. We therefore default to the entry-wise merge (per-operator
-// newer timestamp wins), which is what a working implementation needs, and
-// keep the paper's literal whole-vector rule available for comparison; see
+// propagation. The directory therefore merges entry-wise (per-operator
+// newer timestamp wins), which is what a working implementation needs; see
 // DESIGN.md.
 #pragma once
 
@@ -25,15 +24,10 @@
 
 namespace wadc::core {
 
-enum class MergeRule {
-  kEntryWise,        // per-entry newer-timestamp-wins (default)
-  kVectorDominance,  // paper's literal rule: overwrite only on dominance
-};
-
 class OperatorDirectory {
  public:
   OperatorDirectory() = default;
-  OperatorDirectory(const Placement& initial, MergeRule rule);
+  explicit OperatorDirectory(const Placement& initial);
 
   int num_operators() const {
     return static_cast<int>(locations_.size());
@@ -51,13 +45,9 @@ class OperatorDirectory {
   void apply_entry(OperatorId op, net::HostId location,
                    std::uint64_t timestamp);
 
-  // Merges a peer's directory (arrived by piggyback). Returns true if any
-  // entry changed (meaning propagation should continue).
+  // Merges a peer's directory (arrived by piggyback) entry-wise. Returns
+  // true if any entry changed (meaning propagation should continue).
   bool merge(const OperatorDirectory& incoming);
-
-  // True iff this directory's timestamp vector dominates the other's:
-  // every entry >= and at least one entry strictly greater.
-  bool dominates(const OperatorDirectory& other) const;
 
   const std::vector<net::HostId>& locations() const { return locations_; }
   const std::vector<std::uint64_t>& timestamps() const { return timestamps_; }
@@ -69,7 +59,6 @@ class OperatorDirectory {
   bool host_alive(net::HostId host) const;
 
  private:
-  MergeRule rule_ = MergeRule::kEntryWise;
   std::vector<net::HostId> locations_;
   std::vector<std::uint64_t> timestamps_;
   std::vector<net::HostId> dead_hosts_;  // sorted, unique

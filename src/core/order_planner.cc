@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/assert.h"
+#include "common/model_constants.h"
 
 namespace wadc::core {
 
@@ -24,22 +25,17 @@ OrderPlanOutcome OrderPlanner::plan(BandwidthResolver& resolver) const {
   const net::HostId client = 0;
 
   std::set<HostPair> unknown;
-  const double compute =
-      model_params_.compute_seconds_per_byte * model_params_.partition_bytes;
-  const double disk =
-      model_params_.partition_bytes / model_params_.disk_bytes_per_second;
+  const double compute = kComputeSecondsPerByte * kMeanImageBytes;
+  const double disk = kMeanImageBytes / kDiskBytesPerSecond;
 
   const auto edge = [&](net::HostId from, net::HostId to) {
     if (from == to) return 0.0;
     const auto bw = resolver.bandwidth(from, to);
     if (!bw) {
       unknown.insert(make_pair_key(from, to));
-      return model_params_.startup_seconds +
-             model_params_.partition_bytes /
-                 model_params_.pessimistic_bandwidth;
+      return kMessageStartupSeconds + kMeanImageBytes / kPessimisticBandwidth;
     }
-    return model_params_.startup_seconds +
-           model_params_.partition_bytes / *bw;
+    return kMessageStartupSeconds + kMeanImageBytes / *bw;
   };
 
   std::vector<Cluster> clusters;
@@ -102,13 +98,13 @@ OrderPlanOutcome OrderPlanner::plan(BandwidthResolver& resolver) const {
 
   if (options_.fix_at_client) {
     // Reorder-only: no placement refinement, cost as-is at the client.
-    const CostModel model(outcome.tree, model_params_);
+    const CostModel model(outcome.tree, CostModelParams{});
     outcome.cost = model.placement_cost(outcome.placement, resolver);
     outcome.unknown_pairs = std::move(unknown);
     return outcome;
   }
   // Refine the placement on the chosen tree with the one-shot search.
-  const CostModel model(outcome.tree, model_params_);
+  const CostModel model(outcome.tree, CostModelParams{});
   const OneShotPlanner refiner(model, one_shot_params_);
   PlanOutcome refined = refiner.plan(resolver, outcome.placement);
   outcome.placement = std::move(refined.placement);

@@ -41,14 +41,10 @@ struct OrderPlanOutcome {
 
 class OrderPlanner {
  public:
-  // `model_params` supplies the edge/compute cost constants; the tree the
-  // embedded CostModel is constructed over changes per candidate, so only
-  // the parameters are taken here.
-  OrderPlanner(int num_servers, const CostModelParams& model_params,
-               const OneShotParams& one_shot_params = {},
-               const OrderPlannerOptions& options = {})
+  explicit OrderPlanner(int num_servers,
+                        const OneShotParams& one_shot_params = {},
+                        const OrderPlannerOptions& options = {})
       : num_servers_(num_servers),
-        model_params_(model_params),
         one_shot_params_(one_shot_params),
         options_(options) {}
 
@@ -59,7 +55,6 @@ class OrderPlanner {
 
  private:
   int num_servers_;
-  CostModelParams model_params_;
   OneShotParams one_shot_params_;
   OrderPlannerOptions options_;
 };

@@ -1,17 +1,36 @@
 #include "dataflow/adaptation_policy.h"
 
 #include <algorithm>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/assert.h"
 #include "core/bandwidth_resolver.h"
 #include "core/local_rule.h"
+#include "core/one_shot.h"
+#include "core/order_planner.h"
 #include "obs/obs.h"
 
 namespace wadc::dataflow {
 
+sim::Task<ReplanDecision> AdaptationPolicy::replan(EngineServices&) {
+  WADC_ASSERT(false, "replan() called on a policy without a barrier");
+  co_return ReplanDecision{};
+}
+
+sim::Task<void> AdaptationPolicy::relocation_window(EngineServices&,
+                                                    core::OperatorId) {
+  co_return;
+}
+
 namespace {
+
+// Order-adaptive replanning adopts a new combination tree only when its
+// estimated cost undercuts the current plan's by this factor: switching the
+// whole tree relocates many operators, so a little hysteresis prevents
+// thrash.
+constexpr double kOrderAdoptionThreshold = 0.9;
 
 // The one-shot start-up span ("initial_plan") every planning policy emits;
 // the download-all baseline plans nothing and stays silent.
@@ -25,76 +44,64 @@ void emit_initial_plan_trace(EngineServices& services, sim::SimTime begin) {
   }
 }
 
-}  // namespace
-
-sim::Task<ReplanDecision> AdaptationPolicy::replan(EngineServices&) {
-  WADC_ASSERT(false, "replan() called on a policy without a barrier");
-  co_return ReplanDecision{};
-}
-
-sim::Task<void> AdaptationPolicy::relocation_window(EngineServices&,
-                                                    core::OperatorId) {
-  co_return;
-}
-
 // ---------------------------------------------------------------------------
 // shared planning helpers
 
-sim::Task<core::PlanOutcome> plan_with_probes(EngineServices& services,
-                                              core::Placement initial) {
+// Probe-and-replan at the client for unknown link bandwidths (§2.1):
+// `plan` runs a planner over the client's cache, and the pairs it had to
+// cost pessimistically are probed before it plans again, for at most
+// kMaxPlanProbeRounds probe rounds. Takes simulated time: probes are real
+// traffic.
+template <typename Plan,
+          typename Outcome =
+              std::invoke_result_t<Plan&, core::BandwidthResolver&>>
+sim::Task<Outcome> plan_with_probes(EngineServices& services, Plan plan) {
+  const net::HostId client = services.base_tree().client_host();
+  const sim::SimTime session_start = services.simulation().now();
+  Outcome outcome;
+  for (int round = 0;; ++round) {
+    core::CacheResolver resolver(services.bandwidth_cache(client),
+                                 services.simulation().now(), session_start);
+    outcome = plan(resolver);
+    ++services.stats().plan_rounds;
+    if (outcome.unknown_pairs.empty() || round >= kMaxPlanProbeRounds) {
+      break;
+    }
+    for (const auto& [a, b] : outcome.unknown_pairs) {
+      co_await services.fetch_bandwidth(client, a, b);
+    }
+  }
+  co_return outcome;
+}
+
+// One-shot placement planning from `initial` (§2.1).
+sim::Task<core::PlanOutcome> plan_placement(EngineServices& services,
+                                            core::Placement initial) {
+  const core::OneShotPlanner planner(services.cost_model());
   if (services.params().oracle_bandwidth) {
     // Ablation: idealized planning from ground truth, no probe traffic.
     core::OracleResolver oracle(services.links(), services.simulation().now());
-    const core::OneShotPlanner planner(services.cost_model());
     core::PlanOutcome outcome = planner.plan(oracle, std::move(initial));
     ++services.stats().plan_rounds;
     co_return outcome;
   }
-  const net::HostId client = services.base_tree().client_host();
-  const sim::SimTime session_start = services.simulation().now();
-  const core::OneShotPlanner planner(services.cost_model());
-  core::PlanOutcome outcome;
-  for (int round = 0;; ++round) {
-    core::CacheResolver resolver(services.bandwidth_cache(client),
-                                 services.simulation().now(), session_start);
-    outcome = planner.plan(resolver, initial);
-    ++services.stats().plan_rounds;
-    if (outcome.unknown_pairs.empty() || round >= kMaxPlanProbeRounds) {
-      break;
-    }
-    for (const auto& [a, b] : outcome.unknown_pairs) {
-      co_await services.fetch_bandwidth(client, a, b);
-    }
-  }
-  co_return outcome;
+  co_return co_await plan_with_probes(
+      services,
+      [&](core::BandwidthResolver& r) { return planner.plan(r, initial); });
 }
 
-sim::Task<core::OrderPlanOutcome> plan_order_with_probes(
-    EngineServices& services, bool fix_at_client) {
-  const net::HostId client = services.base_tree().client_host();
-  const sim::SimTime session_start = services.simulation().now();
+// Joint order+location planning (the order-adaptive extension).
+// `fix_at_client` pins every operator to the client (the reorder-only
+// ablation).
+sim::Task<core::OrderPlanOutcome> plan_order(EngineServices& services,
+                                             bool fix_at_client) {
   core::OrderPlannerOptions options;
   options.fix_at_client = fix_at_client;
   const core::OrderPlanner planner(services.base_tree().num_servers(),
-                                   services.cost_model().params(),
                                    core::OneShotParams{}, options);
-  core::OrderPlanOutcome outcome;
-  for (int round = 0;; ++round) {
-    core::CacheResolver resolver(services.bandwidth_cache(client),
-                                 services.simulation().now(), session_start);
-    outcome = planner.plan(resolver);
-    ++services.stats().plan_rounds;
-    if (outcome.unknown_pairs.empty() || round >= kMaxPlanProbeRounds) {
-      break;
-    }
-    for (const auto& [a, b] : outcome.unknown_pairs) {
-      co_await services.fetch_bandwidth(client, a, b);
-    }
-  }
-  co_return outcome;
+  co_return co_await plan_with_probes(
+      services, [&](core::BandwidthResolver& r) { return planner.plan(r); });
 }
-
-namespace {
 
 // ---------------------------------------------------------------------------
 // download-all (§4 baseline): every operator stays at the client; no
@@ -116,7 +123,7 @@ class OneShotPolicy : public AdaptationPolicy {
  public:
   sim::Task<StartupPlan> plan_startup(EngineServices& services) override {
     const sim::SimTime begin = services.simulation().now();
-    auto outcome = co_await plan_with_probes(
+    auto outcome = co_await plan_placement(
         services, core::Placement::all_at_client(services.base_tree()));
     StartupPlan plan{services.base_tree(), std::move(outcome.placement)};
     emit_initial_plan_trace(services, begin);
@@ -137,7 +144,7 @@ class GlobalPolicy final : public OneShotPolicy {
     decision.tree = services.current_tree();
     decision.placement = services.current_placement();
     auto outcome =
-        co_await plan_with_probes(services, services.current_placement());
+        co_await plan_placement(services, services.current_placement());
     // current_placement is re-read after the probing awaits: a repair may
     // have patched the plan while we probed.
     decision.changed = !(outcome.placement == services.current_placement());
@@ -171,7 +178,7 @@ class OrderPolicy final : public AdaptationPolicy {
 
   sim::Task<StartupPlan> plan_startup(EngineServices& services) override {
     const sim::SimTime begin = services.simulation().now();
-    auto outcome = co_await plan_order_with_probes(services, fix_at_client_);
+    auto outcome = co_await plan_order(services, fix_at_client_);
     StartupPlan plan{std::move(outcome.tree), std::move(outcome.placement)};
     emit_initial_plan_trace(services, begin);
     co_return plan;
@@ -181,19 +188,17 @@ class OrderPolicy final : public AdaptationPolicy {
     ReplanDecision decision;
     decision.tree = services.current_tree();
     decision.placement = services.current_placement();
-    auto outcome = co_await plan_order_with_probes(services, fix_at_client_);
+    auto outcome = co_await plan_order(services, fix_at_client_);
     // Adopt the candidate only if it strictly beats the current plan under
     // the same (post-probing) bandwidth knowledge.
     core::CacheResolver resolver(
         services.bandwidth_cache(services.base_tree().client_host()),
         services.simulation().now(), services.simulation().now());
     const core::CostModel current_model(services.current_tree(),
-                                        services.cost_model().params());
+                                        core::CostModelParams{});
     const double current_cost =
         current_model.placement_cost(services.current_placement(), resolver);
-    const bool adopt =
-        outcome.cost <
-        services.params().order_adoption_threshold * current_cost;
+    const bool adopt = outcome.cost < kOrderAdoptionThreshold * current_cost;
     const obs::Obs& obs = services.observability();
     if (obs.decisions) {
       // The adopt/reject call with its cost-model evidence: the candidate
@@ -204,8 +209,7 @@ class OrderPolicy final : public AdaptationPolicy {
                             services.params().session_id,
                             {{"candidate_cost", outcome.cost},
                              {"current_cost", current_cost},
-                             {"threshold",
-                              services.params().order_adoption_threshold}});
+                             {"threshold", kOrderAdoptionThreshold}});
     }
     if (adopt) {
       decision.tree = std::move(outcome.tree);

@@ -26,8 +26,7 @@
 
 #include "core/algorithm_kind.h"
 #include "core/combination_tree.h"
-#include "core/one_shot.h"
-#include "core/order_planner.h"
+#include "core/placement.h"
 #include "dataflow/engine_services.h"
 #include "sim/task.h"
 
@@ -77,19 +76,8 @@ class AdaptationPolicy {
 std::unique_ptr<AdaptationPolicy> make_adaptation_policy(
     core::AlgorithmKind kind);
 
-// ---- shared planning helpers ---------------------------------------------
 // Probe-and-replan rounds for unknown link bandwidths: a planner that still
 // lacks samples after this many probe rounds plans with what it has.
 inline constexpr int kMaxPlanProbeRounds = 4;
-
-// One-shot planning at the client with probe-and-replan for unknown links
-// (§2.1). Takes simulated time: probes are real traffic.
-sim::Task<core::PlanOutcome> plan_with_probes(EngineServices& services,
-                                              core::Placement initial);
-// Joint order+location planning (the order-adaptive extension), same
-// probing discipline. `fix_at_client` pins every operator to the client
-// (the reorder-only ablation).
-sim::Task<core::OrderPlanOutcome> plan_order_with_probes(
-    EngineServices& services, bool fix_at_client);
 
 }  // namespace wadc::dataflow

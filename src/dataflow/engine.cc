@@ -11,16 +11,6 @@ namespace wadc::dataflow {
 
 namespace {
 
-core::CostModelParams cost_params_from(const workload::WorkloadParams& wp,
-                                       const net::NetworkParams& np) {
-  core::CostModelParams cp;
-  cp.startup_seconds = np.startup_seconds;
-  cp.partition_bytes = wp.mean_bytes;
-  cp.compute_seconds_per_byte = wp.compute_seconds_per_byte;
-  cp.disk_bytes_per_second = wp.disk_bytes_per_second;
-  return cp;
-}
-
 // The image the whole tree should deliver for one iteration; used to verify
 // that relocation never corrupts the dataflow.
 workload::ImageSpec expected_output(const core::CombinationTree& tree,
@@ -58,13 +48,11 @@ constexpr double kRunDeadlineSeconds = 14 * 86400.0;
 // transfer can only complete); fault-tolerant runs use the base timeout
 // plus the worst-case transmission time at the cost model's pessimistic
 // bandwidth.
-net::RetryPolicy hop_retry_policy(const EngineParams& params,
-                                  const core::CostModel& cost_model) {
+net::RetryPolicy hop_retry_policy(const EngineParams& params) {
   net::RetryPolicy policy;
   if (params.fault_injector != nullptr) {
     policy.timeout_base_seconds = kTransferTimeoutSeconds;
-    policy.timeout_pessimistic_bandwidth =
-        cost_model.params().pessimistic_bandwidth;
+    policy.timeout_pessimistic_bandwidth = core::kPessimisticBandwidth;
   }
   policy.max_retries = kMaxTransferRetries;
   policy.backoff_base_seconds = kRetryBackoffBaseSeconds;
@@ -85,9 +73,9 @@ Engine::Engine(sim::Simulation& sim, net::Network& network,
       tree_(tree),
       workload_(workload),
       params_(params),
-      cost_model_(tree, cost_params_from(workload.params(), network.params())),
+      cost_model_(tree, core::CostModelParams{}),
       rng_(Rng(params.seed).fork(0xe1e1)),
-      channel_(network, hop_retry_policy(params, cost_model_),
+      channel_(network, hop_retry_policy(params),
                Rng(params.seed).fork(0xfa17)),
       cache_(params.cache_fabric),
       faults_active_(params.fault_injector != nullptr),
@@ -145,8 +133,7 @@ Engine::Engine(sim::Simulation& sim, net::Network& network,
   const core::Placement start = core::Placement::all_at_client(tree);
   for (net::HostId h = 0; h < tree.num_hosts(); ++h) {
     HostState& hs = hosts_[static_cast<std::size_t>(h)];
-    hs.directory = std::make_unique<core::OperatorDirectory>(
-        start, params_.merge_rule);
+    hs.directory = std::make_unique<core::OperatorDirectory>(start);
     hs.cpu = std::make_unique<sim::Resource>(sim_, 1);
   }
 
@@ -208,33 +195,32 @@ double Engine::directory_bytes() const {
 }
 
 void Engine::start_detached(std::function<void()> on_done) {
-  detached_ = true;
   on_done_ = std::move(on_done);
   sim_.spawn(orchestrate());
 }
 
-void Engine::finish_detached() {
+void Engine::report_done() {
   if (done_reported_) return;
   done_reported_ = true;
   stats_.completed = done_;
   if (faults_active_) {
     FailureSummary& fs = stats_.failure_summary;
     fs.active = true;
-    // The network is shared across sessions in detached mode, so the
-    // network-wide failure totals are not attributed here; per-engine retry
-    // and repair counters were maintained as they happened.
+    // The network may be shared across sessions, so the network-wide
+    // failure totals are not attributed here (run() adds them for a run
+    // that owns its network); per-engine retry and repair counters were
+    // maintained as they happened.
   }
   if (on_done_) on_done_();
 }
 
 RunStats Engine::run() {
-  WADC_ASSERT(!detached_, "run() is not available in detached mode");
-  sim_.spawn(orchestrate());
+  // The run owns the loop: completion or an abort stops it.
+  start_detached([this] { sim_.request_stop(); });
   if (!faults_active_) {
     const auto status = sim_.run();
     WADC_ASSERT(done_, "simulation ended before the computation completed ",
                 "(status ", static_cast<int>(status), ", t=", sim_.now(), ")");
-    stats_.completed = true;
     return stats_;
   }
 
@@ -266,13 +252,9 @@ void Engine::abort_run(std::string reason) {
                            {{"reason", reason}});
   }
   stats_.failure_summary.abort_reason = std::move(reason);
-  if (detached_) {
-    // Other sessions share the loop; report this engine's end instead of
-    // stopping the world.
-    finish_detached();
-    return;
-  }
-  sim_.request_stop();
+  // Other sessions may share the loop; report this engine's end instead of
+  // stopping the world.
+  report_done();
 }
 
 void Engine::note_retry(net::HostId from, net::HostId to, int attempt,
@@ -408,8 +390,7 @@ sim::Task<void> Engine::orchestrate() {
   }
   coordinator_.install_startup_plan(std::move(plan.tree), initial);
   for (auto& hs : hosts_) {
-    hs.directory = std::make_unique<core::OperatorDirectory>(
-        initial, params_.merge_rule);
+    hs.directory = std::make_unique<core::OperatorDirectory>(initial);
   }
 
   for (int s = 0; s < tree_.num_servers(); ++s) {
@@ -488,7 +469,7 @@ sim::Task<void> Engine::client_process() {
         cache_->insert(
             key, image, tree_.client_host(),
             workload_.compose_seconds(image) +
-                2 * image.bytes / cost_model_.params().pessimistic_bandwidth,
+                2 * image.bytes / core::kPessimisticBandwidth,
             sim_.now(), params_.session_id);
       }
     }
@@ -506,11 +487,7 @@ sim::Task<void> Engine::client_process() {
   }
   stats_.completion_seconds = sim_.now();
   done_ = true;
-  if (detached_) {
-    finish_detached();
-    co_return;
-  }
-  sim_.request_stop();
+  report_done();
 }
 
 sim::Task<void> Engine::server_process(int server) {
@@ -714,7 +691,7 @@ sim::Task<workload::ImageSpec> Engine::fetch_and_compose(core::OperatorId op,
       if (child_host == loc) continue;
       const double bw =
           monitoring_.cached_bandwidth(loc, loc, child_host)
-              .value_or(cost_model_.params().pessimistic_bandwidth);
+              .value_or(core::kPessimisticBandwidth);
       recreate += inputs[side].bytes / bw;
     }
     cache_->insert(key, out, loc, recreate, sim_.now(), params_.session_id);

@@ -71,15 +71,17 @@ class Engine : private EngineServices {
   Engine& operator=(const Engine&) = delete;
 
   // Runs the computation to completion (all partitions delivered to the
-  // client) and returns the statistics.
+  // client) and returns the statistics: start_detached() with an on_done
+  // that stops the loop, then the event loop itself. Call at most once, and
+  // not after start_detached().
   RunStats run();
 
   // Multi-session mode (wadc_session): spawns the engine's processes into
   // the shared simulation and returns immediately; the caller (the session
   // runtime) drives the event loop. `on_done` fires exactly once, when the
   // computation completes or aborts — the engine never stops the shared
-  // loop. stats() is final (completed flag and failure summary populated)
-  // by the time on_done runs. Mutually exclusive with run().
+  // loop itself. stats() is final (completed flag and failure summary
+  // populated) by the time on_done runs.
   void start_detached(std::function<void()> on_done);
 
   // The plan in effect for a given iteration (start-up plan, or the result
@@ -167,8 +169,8 @@ class Engine : private EngineServices {
   void note_retry(net::HostId from, net::HostId to, int attempt,
                   double backoff_seconds);
 
-  // Detached-mode completion: finalizes stats and fires on_done_ once.
-  void finish_detached();
+  // Completion or abort: finalizes stats and fires on_done_ once.
+  void report_done();
 
   // ---- messaging ---------------------------------------------------------
   // The message path allocates no coroutine frame: a message travels from
@@ -272,9 +274,7 @@ class Engine : private EngineServices {
   bool faults_active_ = false;
   bool aborted_ = false;
 
-  // Detached (multi-session) mode: completion fires on_done_ instead of
-  // stopping the shared simulation loop.
-  bool detached_ = false;
+  // Completion and abort fire on_done_; only run()'s stops the loop.
   bool done_reported_ = false;
   std::function<void()> on_done_;
 

@@ -7,7 +7,6 @@
 #include <string>
 
 #include "core/algorithm_kind.h"
-#include "core/operator_directory.h"
 #include "obs/obs.h"
 #include "sim/types.h"
 
@@ -34,20 +33,10 @@ struct EngineParams {
   // Extra randomly-chosen candidate sites for the local rule (Figure 7's k).
   int local_extra_candidates = 0;
 
-  // Timestamp-vector merge rule for the local algorithm (see
-  // OperatorDirectory).
-  core::MergeRule merge_rule = core::MergeRule::kEntryWise;
-
   // Priority used for barrier/control traffic. The paper assigns barrier
   // messages a higher priority (§2.2); setting this to net::kDataPriority
   // ablates that design choice.
   int control_priority = 10;  // == net::kControlPriority
-
-  // Order-adaptive replanning (kGlobalOrder) adopts a new combination tree
-  // only when its estimated cost undercuts the current plan's by this
-  // factor; switching the whole tree relocates many operators, so a little
-  // hysteresis prevents thrash.
-  double order_adoption_threshold = 0.9;
 
   // Ablation: plan from ground-truth link bandwidth instead of the
   // monitoring subsystem (an idealized upper bound on what better
@@ -100,12 +89,6 @@ inline std::string validate(const EngineParams& p) {
   if (p.local_extra_candidates < 0) {
     return "local_extra_candidates must be >= 0, got " +
            std::to_string(p.local_extra_candidates);
-  }
-  if (!std::isfinite(p.order_adoption_threshold) ||
-      p.order_adoption_threshold < 0) {
-    // 0 is legal: it means "never adopt a new order".
-    return "order_adoption_threshold must be finite and >= 0, got " +
-           std::to_string(p.order_adoption_threshold);
   }
   return {};
 }

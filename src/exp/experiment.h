@@ -56,10 +56,9 @@ struct ExperimentSpec {
   // Base engine parameters; algorithm, relocation period, extra-candidate
   // count and seed are overridden from the fields above, obs from `obs`
   // below, and the run stack points fault_injector and cache_fabric at the
-  // run's own. What is left to set here are the ablation knobs:
-  // control_priority, oracle_bandwidth, merge_rule and
-  // order_adoption_threshold (the session runtime sets session_id per
-  // session).
+  // run's own. What is left to set here are the ablation knobs
+  // control_priority and oracle_bandwidth (the session runtime sets
+  // session_id per session).
   dataflow::EngineParams engine_base;
 
   // Seed identifying the network configuration (the trace→link assignment)

@@ -35,13 +35,11 @@ MonitoringSystem::MonitoringSystem(net::Network& network,
     caches_.push_back(
         std::make_unique<BandwidthCache>(n, params_.t_thres_seconds));
   }
-  if (params_.passive_enabled) {
-    network_.add_observer({[](void* ctx, const net::TransferRecord& rec) {
-                             static_cast<MonitoringSystem*>(ctx)->on_transfer(
-                                 rec);
-                           },
-                           this});
-  }
+  network_.add_observer({[](void* ctx, const net::TransferRecord& rec) {
+                           static_cast<MonitoringSystem*>(ctx)->on_transfer(
+                               rec);
+                         },
+                         this});
 }
 
 void MonitoringSystem::set_obs(const obs::Obs& obs) {
@@ -109,8 +107,9 @@ void MonitoringSystem::on_transfer(const net::TransferRecord& rec) {
 
 Payload MonitoringSystem::piggyback_payload_shared(net::HostId src) const {
   if (!params_.piggyback_enabled) return nullptr;
-  const std::size_t max_entries =
-      params_.piggyback_budget_bytes / params_.piggyback_entry_bytes;
+  constexpr std::size_t max_entries =
+      MonitorParams::piggyback_budget_bytes /
+      MonitorParams::piggyback_entry_bytes;
   return cache(src).freshest_shared(network_.simulation().now(), max_entries);
 }
 
@@ -123,7 +122,8 @@ std::vector<PairSample> MonitoringSystem::piggyback_payload(
 
 double MonitoringSystem::payload_bytes(
     const std::vector<PairSample>& payload) const {
-  return static_cast<double>(payload.size() * params_.piggyback_entry_bytes);
+  return static_cast<double>(payload.size() *
+                             MonitorParams::piggyback_entry_bytes);
 }
 
 double MonitoringSystem::payload_bytes(const Payload& payload) const {

@@ -28,13 +28,14 @@ namespace wadc::monitor {
 
 // The message-size constants (S_thres, the probe size, the delegation
 // control messages) are fixed by the study and live in
-// monitoring_system.cc.
+// monitoring_system.cc. Passive monitoring is always on.
 struct MonitorParams {
+  // The piggyback budget (§4: 1 KB) and the wire size of one sample.
+  static constexpr std::size_t piggyback_budget_bytes = 1024;
+  static constexpr std::size_t piggyback_entry_bytes = 16;
+
   sim::SimTime t_thres_seconds = 40;       // cache timeout (paper default)
-  std::size_t piggyback_budget_bytes = 1024;
-  std::size_t piggyback_entry_bytes = 16;  // wire size of one sample
-  bool passive_enabled = true;             // ablations can disable these
-  bool piggyback_enabled = true;
+  bool piggyback_enabled = true;           // ablations can disable these
   bool probing_enabled = true;
   // Timeout for the transfers a probe issues (0 = wait forever, the
   // pre-fault behavior). Fault-tolerant runs set this so a probe against a

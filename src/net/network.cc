@@ -1,10 +1,10 @@
 #include "net/network.h"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 
 #include "common/assert.h"
+#include "common/model_constants.h"
 
 namespace wadc::net {
 
@@ -18,10 +18,6 @@ constexpr auto seq_before = [](const auto& entry, std::uint64_t seq) {
 }  // namespace
 
 std::string NetworkParams::validate() const {
-  if (!std::isfinite(startup_seconds) || startup_seconds < 0) {
-    return "startup_seconds must be finite and >= 0, got " +
-           std::to_string(startup_seconds);
-  }
   if (host_capacity < 1) {
     return "host_capacity must be >= 1, got " + std::to_string(host_capacity);
   }
@@ -297,7 +293,7 @@ void Network::start(const Pending& p) {
     // Charge the modeled per-message startup cost before bytes flow, like
     // the integrator path does — the monitor's app-bandwidth estimates
     // (bytes / (completed - started)) assume it. The launch is an ordinary
-    // event: under the realtime clock it fires startup_seconds of scaled
+    // event: under the realtime clock it fires kMessageStartupSeconds of scaled
     // wall time later. A fault or timeout may resolve the transfer first,
     // in which case the launch finds its seq gone and does nothing.
     const HostId src = p.src;
@@ -312,9 +308,9 @@ void Network::start(const Pending& p) {
     };
     static_assert(sim::Callback::fits_inline<decltype(launch)>(),
                   "transport launches must stay allocation-free");
-    sim_.schedule_at(now + params_.startup_seconds, launch);
+    sim_.schedule_at(now + kMessageStartupSeconds, launch);
   } else {
-    const sim::SimTime tx_begin = now + params_.startup_seconds;
+    const sim::SimTime tx_begin = now + kMessageStartupSeconds;
     const sim::SimTime end =
         links_.finish_time(p.src, p.dst, tx_begin, p.bytes);
     WADC_ASSERT(end >= tx_begin, "transfer finishes before it starts");

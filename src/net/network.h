@@ -4,8 +4,8 @@
 //   - every host has a single network interface: it can send or receive at
 //     most one message at a time. A transfer therefore occupies *both*
 //     endpoints for its whole duration (end-point congestion);
-//   - each message pays a fixed startup cost (50 ms in the experiments)
-//     before bytes flow;
+//   - each message pays a fixed startup cost (kMessageStartupSeconds, 50 ms
+//     in common/model_constants.h) before bytes flow;
 //   - transmission time is governed by the link's bandwidth trace, with
 //     bandwidth changes mid-transfer honored exactly;
 //   - queued messages start in priority order (FIFO within a priority), so
@@ -46,10 +46,6 @@
 namespace wadc::net {
 
 struct NetworkParams {
-  // Per-message startup cost in seconds (paper: 50 ms). Charged while both
-  // endpoints are held, before transmission begins.
-  double startup_seconds = 0.05;
-
   // Concurrent transfers a host can sustain. The paper assumes a single
   // network interface ("servers ... can send or receive at most one message
   // at a time", §2) = capacity 1; it also notes the assumption can be

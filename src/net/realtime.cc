@@ -1,5 +1,7 @@
 #include "net/realtime.h"
 
+#include <cmath>
+
 #include "common/assert.h"
 #include "net/link_table.h"
 #include "net/network.h"
@@ -14,18 +16,11 @@ constexpr double kIdleWaitSeconds = 0.25;
 
 }  // namespace
 
-RealtimeBackend::RealtimeBackend(const tcp::TcpTransportParams& params)
-    : params_(params) {
-  const std::string problem = params_.validate();
-  WADC_ASSERT(problem.empty(), "bad TcpTransportParams: ", problem);
-}
-
 RealtimeBackend::RealtimeBackend(double time_scale)
-    : RealtimeBackend([&] {
-        tcp::TcpTransportParams p;
-        p.time_scale = time_scale;
-        return p;
-      }()) {}
+    : time_scale_(time_scale) {
+  WADC_ASSERT(std::isfinite(time_scale_) && time_scale_ > 0,
+              "time scale must be finite and > 0, got ", time_scale_);
+}
 
 RealtimeBackend::~RealtimeBackend() {
   // Detach from anything still pointing at us: the backend's lifetime is
@@ -55,7 +50,7 @@ void RealtimeBackend::attach(sim::Simulation& sim, Network& network) {
       }
     }
   }
-  transport_ = std::make_unique<tcp::TcpTransport>(loop_, n, params_,
+  transport_ = std::make_unique<tcp::TcpTransport>(loop_, n, time_scale_,
                                                    std::move(rates));
   transport_->set_rate_source(&RealtimeBackend::rate_trampoline, this);
   network.set_transport(transport_.get());
@@ -83,7 +78,7 @@ sim::Clock::Wait RealtimeBackend::wait_until(sim::SimTime t) {
     loop_.poll(kIdleWaitSeconds);
     return Wait::kRecheck;
   }
-  const double deadline = epoch_ + t / params_.time_scale;
+  const double deadline = epoch_ + t / time_scale_;
   const double now = tcp::monotonic_seconds();
   if (now >= deadline) {
     // The event is due. Drain any ready I/O first without blocking:
@@ -111,7 +106,7 @@ void RealtimeBackend::wake_trampoline(void*, std::uint64_t) {
 sim::SimTime RealtimeBackend::now(sim::SimTime event_now) {
   if (epoch_ < 0) epoch_ = tcp::monotonic_seconds();
   const sim::SimTime wall =
-      (tcp::monotonic_seconds() - epoch_) * params_.time_scale;
+      (tcp::monotonic_seconds() - epoch_) * time_scale_;
   return wall > event_now ? wall : event_now;
 }
 

@@ -33,10 +33,8 @@ class LinkTable;
 
 class RealtimeBackend final : public sim::Clock {
  public:
-  explicit RealtimeBackend(const tcp::TcpTransportParams& params);
-  // Convenience for callers above the net layer (exp, tools), which carry
-  // the one user-visible knob without naming net/tcp types; frames are
-  // paced to the configured link bandwidths.
+  // `time_scale` is simulated seconds per wall second (finite, > 0); frames
+  // are paced to the configured link bandwidths.
   explicit RealtimeBackend(double time_scale);
   ~RealtimeBackend() override;
 
@@ -56,7 +54,6 @@ class RealtimeBackend final : public sim::Clock {
 
   tcp::TcpTransport* transport() { return transport_.get(); }
   tcp::EpollLoop& loop() { return loop_; }
-  const tcp::TcpTransportParams& params() const { return params_; }
 
  private:
   static double rate_trampoline(void* ctx, int src, int dst);
@@ -64,7 +61,7 @@ class RealtimeBackend final : public sim::Clock {
   // poll() wakes with nanosecond rather than millisecond precision.
   static void wake_trampoline(void* ctx, std::uint64_t timer_id);
 
-  tcp::TcpTransportParams params_;
+  double time_scale_;
   tcp::EpollLoop loop_;
   std::unique_ptr<tcp::TcpTransport> transport_;
   sim::Simulation* sim_ = nullptr;

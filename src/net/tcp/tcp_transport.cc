@@ -19,6 +19,12 @@ namespace wadc::net::tcp {
 
 namespace {
 
+// Real payload bytes per frame, capping what actually crosses loopback.
+constexpr std::uint32_t kMaxWireBytes = 64 * 1024;
+// Pacing floor, logical bytes per wall second: keeps progress when a trace
+// dips to near-zero bandwidth (a paced run must still terminate).
+constexpr double kMinRateBytesPerWallSecond = 1024;
+
 void set_nonblocking(int fd) {
   const int flags = fcntl(fd, F_GETFL, 0);
   WADC_ASSERT(flags >= 0, "fcntl(F_GETFL) failed: ", strerror(errno));
@@ -61,34 +67,20 @@ bool read_fully(int fd, char* data, std::size_t len) {
 
 }  // namespace
 
-std::string TcpTransportParams::validate() const {
-  if (!std::isfinite(time_scale) || time_scale <= 0) {
-    return "time_scale must be finite and > 0, got " +
-           std::to_string(time_scale);
-  }
-  if (max_wire_bytes < 1) return "max_wire_bytes must be >= 1";
-  if (!std::isfinite(min_rate_bytes_per_wall_second) ||
-      min_rate_bytes_per_wall_second <= 0) {
-    return "min_rate_bytes_per_wall_second must be finite and > 0";
-  }
-  return {};
-}
-
-TcpTransport::TcpTransport(EpollLoop& loop, int num_hosts,
-                           const TcpTransportParams& params,
+TcpTransport::TcpTransport(EpollLoop& loop, int num_hosts, double time_scale,
                            std::vector<double> link_rates)
     : loop_(loop),
       num_hosts_(num_hosts),
-      params_(params),
+      time_scale_(time_scale),
       link_rates_(std::move(link_rates)) {
   WADC_ASSERT(num_hosts_ >= 2, "tcp mesh needs at least two hosts");
-  const std::string problem = params_.validate();
-  WADC_ASSERT(problem.empty(), "bad TcpTransportParams: ", problem);
+  WADC_ASSERT(std::isfinite(time_scale_) && time_scale_ > 0,
+              "time scale must be finite and > 0, got ", time_scale_);
   WADC_ASSERT(link_rates_.size() ==
                   static_cast<std::size_t>(num_hosts_) *
                       static_cast<std::size_t>(num_hosts_),
               "link_rates must be num_hosts^2 entries");
-  payload_scratch_.assign(params_.max_wire_bytes, 0);
+  payload_scratch_.assign(kMaxWireBytes, 0);
   conns_.resize(link_rates_.size());
   setup_mesh();
 }
@@ -243,25 +235,21 @@ void TcpTransport::start_transfer(int src, int dst, double bytes,
   frame.header.tag = tag;
   frame.header.priority = priority;
   frame.header.wire_len = static_cast<std::uint32_t>(
-      std::min<double>(std::max(bytes, 1.0), params_.max_wire_bytes));
+      std::min<double>(std::max(bytes, 1.0), kMaxWireBytes));
 
-  if (params_.rate_limit) {
-    // Leaky-bucket pacing in wall time (see header comment).
-    double rate =
-        rate_fn_ != nullptr
-            ? rate_fn_(rate_ctx_, src, dst)
-            : link_rates_[static_cast<std::size_t>(src) *
-                              static_cast<std::size_t>(num_hosts_) +
-                          static_cast<std::size_t>(dst)];
-    rate = rate > 0 ? rate * params_.time_scale
-                    : 0;  // 0 = unlimited, release immediately
-    if (rate > 0) {
-      rate = std::max(rate, params_.min_rate_bytes_per_wall_second);
-      const double now = monotonic_seconds();
-      const double release = std::max(now, conn.next_free);
-      frame.release_at = release + bytes / rate;
-      conn.next_free = frame.release_at;
-    }
+  // Leaky-bucket pacing in wall time (see header comment).
+  double rate = rate_fn_ != nullptr
+                    ? rate_fn_(rate_ctx_, src, dst)
+                    : link_rates_[static_cast<std::size_t>(src) *
+                                      static_cast<std::size_t>(num_hosts_) +
+                                  static_cast<std::size_t>(dst)];
+  rate = rate > 0 ? rate * time_scale_ : 0;  // 0 = unlimited, release now
+  if (rate > 0) {
+    rate = std::max(rate, kMinRateBytesPerWallSecond);
+    const double now = monotonic_seconds();
+    const double release = std::max(now, conn.next_free);
+    frame.release_at = release + bytes / rate;
+    conn.next_free = frame.release_at;
   }
 
   inflight_.emplace(seq, static_cast<std::size_t>(&conn - conns_.data()));
@@ -370,7 +358,7 @@ void TcpTransport::parse_frames(Conn& conn) {
     FrameHeader header;
     memcpy(&header, conn.rx.data() + conn.rx_consumed, sizeof(header));
     WADC_ASSERT(header.magic == kDataMagic, "corrupt frame stream");
-    WADC_ASSERT(header.wire_len <= params_.max_wire_bytes,
+    WADC_ASSERT(header.wire_len <= kMaxWireBytes,
                 "oversized frame: ", header.wire_len);
     if (avail < sizeof(FrameHeader) + header.wire_len) break;
     conn.rx_consumed += sizeof(FrameHeader) + header.wire_len;

@@ -13,18 +13,17 @@
 // is R logical bytes per wall second is released to the socket at
 //   release = max(now, link_next_free);  link_next_free = release + L / R
 // i.e. the classic leaky-bucket with full drain. The frame's real bytes
-// (capped at max_wire_bytes) then cross loopback in microseconds, so the
-// receiver sees the last byte at ≈ the time the modeled transmission would
-// have finished — measured app-level bandwidth approximates the configured
-// link bandwidth. With rate limiting off, frames release immediately and
-// loopback throughput is whatever the kernel gives.
+// (capped at 64 KiB) then cross loopback in microseconds, so the receiver
+// sees the last byte at ≈ the time the modeled transmission would have
+// finished — measured app-level bandwidth approximates the configured link
+// bandwidth. On a link with no configured rate, frames release immediately
+// and loopback throughput is whatever the kernel gives.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <map>
 #include <set>
-#include <string>
 #include <vector>
 
 #include "net/tcp/epoll_loop.h"
@@ -33,36 +32,17 @@
 
 namespace wadc::net::tcp {
 
-struct TcpTransportParams {
-  // Wall-clock rate multiplier: simulated seconds per wall second. A link
-  // configured at B logical bytes per simulated second is paced at
-  // B * time_scale logical bytes per wall second.
-  double time_scale = 600;
-
-  // Real payload bytes per frame, capping what actually crosses loopback.
-  std::uint32_t max_wire_bytes = 64 * 1024;
-
-  // Pace frames to the configured link rates (see header comment). Off =
-  // release every frame immediately.
-  bool rate_limit = true;
-
-  // Pacing floor, logical bytes per wall second: keeps progress when a
-  // trace dips to near-zero bandwidth (a paced run must still terminate).
-  double min_rate_bytes_per_wall_second = 1024;
-
-  // Returns an empty string if usable, else a description of the problem.
-  std::string validate() const;
-};
-
 class TcpTransport final : public Transport {
  public:
-  // `link_rates` is num_hosts x num_hosts row-major (src * num_hosts +
-  // dst), logical bytes per *simulated* second; entries <= 0 mean
-  // unlimited. The constructor binds one ephemeral loopback listener per
-  // host and connects the full ordered mesh (hello handshake included)
-  // before returning; construction failure is fatal.
-  TcpTransport(EpollLoop& loop, int num_hosts,
-               const TcpTransportParams& params,
+  // `time_scale` is simulated seconds per wall second (finite, > 0): a link
+  // configured at B logical bytes per simulated second is paced at
+  // B * time_scale logical bytes per wall second. `link_rates` is
+  // num_hosts x num_hosts row-major (src * num_hosts + dst), logical bytes
+  // per *simulated* second; entries <= 0 mean unlimited. The constructor
+  // binds one ephemeral loopback listener per host and connects the full
+  // ordered mesh (hello handshake included) before returning; construction
+  // failure is fatal.
+  TcpTransport(EpollLoop& loop, int num_hosts, double time_scale,
                std::vector<double> link_rates);
   ~TcpTransport() override;
 
@@ -151,7 +131,7 @@ class TcpTransport final : public Transport {
 
   EpollLoop& loop_;
   int num_hosts_;
-  TcpTransportParams params_;
+  double time_scale_;
   std::vector<double> link_rates_;       // logical bytes per sim second
   RateFn rate_fn_ = nullptr;             // overrides link_rates_ when set
   void* rate_ctx_ = nullptr;
@@ -165,7 +145,7 @@ class TcpTransport final : public Transport {
   std::map<std::uint64_t, std::size_t> inflight_;
   // Frames already on the wire whose completion must be swallowed.
   std::set<std::uint64_t> cancelled_;
-  std::vector<char> payload_scratch_;    // zeros, max_wire_bytes long
+  std::vector<char> payload_scratch_;    // zeros, one full frame payload
   std::uint64_t wire_bytes_sent_ = 0;
   std::uint64_t frames_delivered_ = 0;
 };

@@ -1,10 +1,12 @@
 #include "session/overload.h"
 
+#include "common/model_constants.h"
+
 namespace wadc::session {
 
 double ResponsePredictor::service_seconds(double bw) const {
   if (!(bw > 0)) return 0;
-  return messages_ * startup_seconds_ + transfer_bytes_ / bw;
+  return messages_ * kMessageStartupSeconds + transfer_bytes_ / bw;
 }
 
 std::optional<double> ResponsePredictor::predict(

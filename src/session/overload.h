@@ -42,7 +42,7 @@ struct LoadSignals {
 // the client's cached bandwidth estimates. The model is the paper's own
 // contention story: the client's single NIC is the shared bottleneck, so a
 // session that must pull `transfer_bytes` through it (in `messages`
-// messages, each paying the startup cost) behind `inflight_bytes` of
+// messages, each paying kMessageStartupSeconds) behind `inflight_bytes` of
 // backlog, sharing with `running` other sessions, takes roughly
 //
 //   predict = inflight_bytes / bw              (drain the backlog)
@@ -53,11 +53,8 @@ struct LoadSignals {
 // evidence is not evidence of congestion.
 class ResponsePredictor {
  public:
-  ResponsePredictor(double transfer_bytes, int messages,
-                    double startup_seconds)
-      : transfer_bytes_(transfer_bytes),
-        messages_(messages),
-        startup_seconds_(startup_seconds) {}
+  ResponsePredictor(double transfer_bytes, int messages)
+      : transfer_bytes_(transfer_bytes), messages_(messages) {}
 
   double transfer_bytes() const { return transfer_bytes_; }
 
@@ -69,7 +66,6 @@ class ResponsePredictor {
  private:
   double transfer_bytes_;
   int messages_;
-  double startup_seconds_;
 };
 
 }  // namespace wadc::session

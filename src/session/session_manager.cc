@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/assert.h"
+#include "common/model_constants.h"
 #include "common/rng.h"
 
 namespace wadc::session {
@@ -16,16 +17,14 @@ constexpr std::uint64_t kArrivalLabel = 0x5e551a;
 
 // The response predictor sized from the workload: one session must deliver
 // every server's partitions to the client through its single NIC —
-// iterations * num_servers messages of mean_bytes each. Control traffic is
-// deliberately ignored; it is small and the prediction only has to rank
-// "fits the deadline" against "misses it by a lot".
+// iterations * num_servers messages of the mean image size each. Control
+// traffic is deliberately ignored; it is small and the prediction only has
+// to rank "fits the deadline" against "misses it by a lot".
 ResponsePredictor make_predictor(const core::CombinationTree& tree,
-                                 const workload::ImageWorkload& workload,
-                                 const net::Network& network) {
+                                 const workload::ImageWorkload& workload) {
   const int messages = workload.iterations() * tree.num_servers();
-  const double bytes = workload.params().mean_bytes * messages;
-  return ResponsePredictor(bytes, messages,
-                           network.params().startup_seconds);
+  const double bytes = kMeanImageBytes * messages;
+  return ResponsePredictor(bytes, messages);
 }
 
 }  // namespace
@@ -44,7 +43,7 @@ SessionManager::SessionManager(sim::Simulation& sim, net::Network& network,
       engine_base_(engine_base),
       spec_(spec),
       seed_(seed),
-      predictor_(make_predictor(tree, workload, network)),
+      predictor_(make_predictor(tree, workload)),
       admission_(spec.admission, [this]() { return load_signals(); },
                  &predictor_),
       obs_(engine_base.obs) {

@@ -36,17 +36,14 @@ ImageWorkload::ImageWorkload(const WorkloadParams& params, int num_servers,
     : params_(params), num_servers_(num_servers) {
   WADC_ASSERT(num_servers >= 1, "need at least one server");
   WADC_ASSERT(params_.iterations >= 1, "need at least one iteration");
-  WADC_ASSERT(params_.mean_bytes > params_.min_bytes,
-              "mean below truncation floor");
   images_.reserve(static_cast<std::size_t>(num_servers) *
                   static_cast<std::size_t>(params_.iterations));
-  const double sigma = params_.mean_bytes * params_.sigma_fraction;
+  constexpr double sigma = kMeanImageBytes * kImageSigmaFraction;
   for (int s = 0; s < num_servers; ++s) {
     Rng rng = Rng(seed).fork(0x1111aaaa + static_cast<std::uint64_t>(s));
     for (int i = 0; i < params_.iterations; ++i) {
       ImageSpec img;
-      img.bytes =
-          std::max(rng.normal(params_.mean_bytes, sigma), params_.min_bytes);
+      img.bytes = std::max(rng.normal(kMeanImageBytes, sigma), kMinImageBytes);
       img.lineage = lineage_leaf(s, i);
       images_.push_back(img);
     }

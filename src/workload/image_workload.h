@@ -4,9 +4,10 @@
 // images are composed pairwise (pixel-by-pixel selection) and a sequence of
 // 180 composed images is delivered to the client. Image sizes follow the
 // paper's study of 1000+ hurricane images from 15 web sites: normal with
-// mean 128KB and 25% sigma. Composition costs 7 microseconds per pixel and
-// the output has the size of the larger input (the smaller image is
-// expanded). Disk reads run at 3 MB/s.
+// mean 128KB (kMeanImageBytes) and 25% sigma. Composition costs 7
+// microseconds per pixel (kComputeSecondsPerByte) and the output has the
+// size of the larger input (the smaller image is expanded). Disk reads run
+// at 3 MB/s (kDiskBytesPerSecond).
 //
 // Pixel data itself never influences timing, so images carry only their
 // size and a lineage digest; the digest lets tests verify that the engine
@@ -17,6 +18,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/model_constants.h"
 #include "common/rng.h"
 
 namespace wadc::workload {
@@ -28,13 +30,13 @@ struct ImageSpec {
   bool operator==(const ImageSpec&) const = default;
 };
 
+// The image-size spread (sigma as a fraction of the mean) and the sampler's
+// truncation floor.
+inline constexpr double kImageSigmaFraction = 0.25;
+inline constexpr double kMinImageBytes = 8.0 * 1024;
+
 struct WorkloadParams {
-  int iterations = 180;            // images per server (§4)
-  double mean_bytes = 128.0 * 1024;
-  double sigma_fraction = 0.25;    // sigma = 25% of the mean
-  double min_bytes = 8.0 * 1024;   // truncation floor for the sampler
-  double disk_bytes_per_second = 3.0e6;
-  double compute_seconds_per_byte = 7e-6;  // 7 us/pixel, 1 byte/pixel
+  int iterations = 180;  // images per server (§4)
 };
 
 // Digest used to build lineage values; order-sensitive, so tests can detect
@@ -53,17 +55,16 @@ class ImageWorkload {
   ImageWorkload(const WorkloadParams& params, int num_servers,
                 std::uint64_t seed);
 
-  const WorkloadParams& params() const { return params_; }
   int num_servers() const { return num_servers_; }
   int iterations() const { return params_.iterations; }
 
   const ImageSpec& image(int server, int iteration) const;
 
   double disk_seconds(const ImageSpec& img) const {
-    return img.bytes / params_.disk_bytes_per_second;
+    return img.bytes / kDiskBytesPerSecond;
   }
   double compose_seconds(const ImageSpec& out) const {
-    return out.bytes * params_.compute_seconds_per_byte;
+    return out.bytes * kComputeSecondsPerByte;
   }
 
   // Mean image size actually drawn for this workload (useful for cost

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
+#include "common/model_constants.h"
 #include "core/algorithm_kind.h"
 #include "dataflow/adaptation_policy.h"
+#include "obs/decision_log.h"
 #include "sim/simulation.h"
 #include "mock_engine_services.h"
 
@@ -144,21 +147,86 @@ TEST(GlobalPolicy, ReplanFlagsChangeAgainstStalePlacement) {
   EXPECT_FALSE(third.changed);
 }
 
-TEST(OrderPolicy, ReplanKeepsCurrentPlanUnderHysteresis) {
-  Fixture f;
-  EngineParams params;
-  // A threshold of 0 can never be undercut: the candidate is always
-  // rejected, whatever the cache says.
-  params.order_adoption_threshold = 0.0;
-  MockEngineServices mock(f.sim, f.tree, params);
-  mock.fill_cache_all_pairs(1000.0);
-  const auto policy =
-      make_adaptation_policy(core::AlgorithmKind::kGlobalOrder);
+// Order replanning over a crafted cache, to test the adoption threshold
+// (0.9): server 0's link to the client runs at `slow_bw`, the other
+// servers' at 200 kB/s and every server-to-server link at 500 B/s, so every
+// operator stays at the client and only the order matters. The current
+// plan is the balanced tree, which puts two compositions on server 0's
+// path; the candidate combines server 0 last and saves one.
+struct OrderReplan {
   ReplanDecision decision;
-  f.sim.spawn(run_replan(*policy, mock, decision));
-  f.sim.run();
-  EXPECT_FALSE(decision.changed);
-  EXPECT_EQ(decision.placement, mock.current_placement());
+  core::CombinationTree current_tree =
+      core::CombinationTree::complete_binary(4);
+  core::Placement current_placement;
+  obs::DecisionLog log;
+  // The costs the model gives both plans (§4 constants).
+  double current_cost = 0;
+  double candidate_cost = 0;
+
+  explicit OrderReplan(double slow_bw) {
+    sim::Simulation sim;
+    EngineParams params;
+    params.obs.decisions = &log;
+    MockEngineServices mock(sim, current_tree, params);
+    const net::HostId client = current_tree.client_host();
+    for (net::HostId a = 1; a < current_tree.num_hosts(); ++a) {
+      mock.bandwidth_cache(client).record(client, a, a == 1 ? slow_bw : 200e3,
+                                          0);
+      for (net::HostId b = a + 1; b < current_tree.num_hosts(); ++b) {
+        mock.bandwidth_cache(client).record(a, b, 500, 0);
+      }
+    }
+    current_placement = mock.current_placement();
+    const auto policy =
+        make_adaptation_policy(core::AlgorithmKind::kGlobalOrder);
+    sim.spawn(run_replan(*policy, mock, decision));
+    sim.run();
+
+    const double disk = kMeanImageBytes / kDiskBytesPerSecond;
+    const double compose = kComputeSecondsPerByte * kMeanImageBytes;
+    const double slow_edge = kMessageStartupSeconds + kMeanImageBytes / slow_bw;
+    current_cost = disk + slow_edge + 2 * compose;
+    candidate_cost = disk + slow_edge + compose;
+  }
+
+  double arg(const std::string& key) const {
+    for (const obs::TraceArg& a : log.at(0).args) {
+      if (a.key == key) return a.double_value;
+    }
+    ADD_FAILURE() << "no decision arg " << key;
+    return 0;
+  }
+};
+
+TEST(OrderPolicy, ReplanKeepsCurrentPlanUnderHysteresis) {
+  // The candidate undercuts the current plan by ~9.5%, less than 10%.
+  const OrderReplan r(17000);
+  ASSERT_GT(r.candidate_cost, 0.9 * r.current_cost);
+  ASSERT_LT(r.candidate_cost, r.current_cost);
+  EXPECT_FALSE(r.decision.changed);
+  EXPECT_EQ(r.decision.tree.to_string(), r.current_tree.to_string());
+  EXPECT_EQ(r.decision.placement, r.current_placement);
+  ASSERT_EQ(r.log.size(), 1u);
+  EXPECT_STREQ(r.log.at(0).action, "order_reject");
+  EXPECT_NEAR(r.arg("candidate_cost"), r.candidate_cost, 1e-9);
+  EXPECT_NEAR(r.arg("current_cost"), r.current_cost, 1e-9);
+  EXPECT_EQ(r.arg("threshold"), 0.9);
+}
+
+TEST(OrderPolicy, ReplanAdoptsPlanPastHysteresis) {
+  // The candidate undercuts the current plan by ~10.6%, more than 10%.
+  const OrderReplan r(19500);
+  ASSERT_LT(r.candidate_cost, 0.9 * r.current_cost);
+  EXPECT_TRUE(r.decision.changed);
+  // Server 0 (host 1) feeds the root directly, and nothing left the client.
+  EXPECT_EQ(r.decision.tree.server_consumer(0), r.decision.tree.root());
+  EXPECT_EQ(r.decision.placement,
+            core::Placement::all_at_client(r.decision.tree));
+  ASSERT_EQ(r.log.size(), 1u);
+  EXPECT_STREQ(r.log.at(0).action, "order_adopt");
+  EXPECT_NEAR(r.arg("candidate_cost"), r.candidate_cost, 1e-9);
+  EXPECT_NEAR(r.arg("current_cost"), r.current_cost, 1e-9);
+  EXPECT_EQ(r.arg("threshold"), 0.9);
 }
 
 // ---------------------------------------------------------------------------

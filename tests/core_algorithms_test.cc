@@ -13,12 +13,6 @@
 namespace wadc::core {
 namespace {
 
-CostModelParams simple_params() {
-  CostModelParams p;
-  p.pessimistic_bandwidth = 400.0;
-  return p;
-}
-
 MapResolver random_resolver(int hosts, std::uint64_t seed, double lo = 1e3,
                             double hi = 400e3) {
   Rng rng(seed);
@@ -56,7 +50,7 @@ double exhaustive_best(const CombinationTree& tree, const CostModel& model,
 
 TEST(OneShot, KeepsAllAtClientWhenClientLinksAreBest) {
   const auto tree = CombinationTree::complete_binary(2);
-  const CostModel model(tree, simple_params());
+  const CostModel model(tree, CostModelParams{});
   MapResolver r;
   r.set(0, 1, 300e3);  // excellent client links
   r.set(0, 2, 300e3);
@@ -71,7 +65,7 @@ TEST(OneShot, ReroutesAroundASlowClientLink) {
   // Server host 2 has an awful link to the client but a fast link to host 1
   // whose client link is fast: the operator should move to host 1.
   const auto tree = CombinationTree::complete_binary(2);
-  const CostModel model(tree, simple_params());
+  const CostModel model(tree, CostModelParams{});
   MapResolver r;
   r.set(0, 1, 200e3);
   r.set(0, 2, 1e3);    // slow: 128KB would take ~131 s
@@ -91,7 +85,7 @@ TEST(OneShot, NeverWorseThanInitialPlacement) {
   for (int trial = 0; trial < 30; ++trial) {
     const int servers = 2 + static_cast<int>(rng.next_below(7));
     const auto tree = CombinationTree::complete_binary(servers);
-    const CostModel model(tree, simple_params());
+    const CostModel model(tree, CostModelParams{});
     auto r = random_resolver(tree.num_hosts(), rng.next_u64());
     Placement initial = Placement::all_at_client(tree);
     for (OperatorId op = 0; op < tree.num_operators(); ++op) {
@@ -111,7 +105,7 @@ TEST(OneShot, NeverWorseThanInitialPlacement) {
 
 TEST(OneShot, IsIdempotentAtConvergence) {
   const auto tree = CombinationTree::complete_binary(8);
-  const CostModel model(tree, simple_params());
+  const CostModel model(tree, CostModelParams{});
   auto r = random_resolver(tree.num_hosts(), 99);
   const OneShotPlanner planner(model);
   const auto first = planner.plan_from_scratch(r);
@@ -130,7 +124,7 @@ TEST_P(OneShotQualityTest, CloseToExhaustiveOptimumOnSmallTrees) {
   Rng rng(GetParam());
   for (const int servers : {2, 3}) {
     const auto tree = CombinationTree::complete_binary(servers);
-    const CostModel model(tree, simple_params());
+    const CostModel model(tree, CostModelParams{});
     auto r = random_resolver(tree.num_hosts(), rng.next_u64(), 1e3, 300e3);
     const OneShotPlanner planner(model);
     const auto outcome = planner.plan_from_scratch(r);
@@ -144,7 +138,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, OneShotQualityTest,
 
 TEST(OneShot, ReportsUnknownPairsFromSparseResolver) {
   const auto tree = CombinationTree::complete_binary(4);
-  const CostModel model(tree, simple_params());
+  const CostModel model(tree, CostModelParams{});
   MapResolver r;  // nothing known
   const OneShotPlanner planner(model);
   const auto outcome = planner.plan_from_scratch(r);
@@ -153,7 +147,7 @@ TEST(OneShot, ReportsUnknownPairsFromSparseResolver) {
 
 TEST(OneShot, EvaluatesCandidatesOnTheCriticalPathOnly) {
   const auto tree = CombinationTree::complete_binary(8);
-  const CostModel model(tree, simple_params());
+  const CostModel model(tree, CostModelParams{});
   auto r = random_resolver(tree.num_hosts(), 21);
   const OneShotPlanner planner(model);
   const auto outcome = planner.plan_from_scratch(r);
@@ -168,7 +162,7 @@ TEST(OneShot, EvaluatesCandidatesOnTheCriticalPathOnly) {
 
 TEST(LocalRule, LocalCostFormula) {
   const auto tree = CombinationTree::complete_binary(2);
-  const CostModel model(tree, simple_params());
+  const CostModel model(tree, CostModelParams{});
   const LocalRule rule(model);
   MapResolver r;
   r.set(1, 3, 10e3);
@@ -184,7 +178,7 @@ TEST(LocalRule, LocalCostFormula) {
 
 TEST(LocalRule, MovesToAvoidTheSlowLinkEntirely) {
   const auto tree = CombinationTree::complete_binary(2);
-  const CostModel model(tree, simple_params());
+  const CostModel model(tree, CostModelParams{});
   const LocalRule rule(model);
   MapResolver r;
   // Operator at client (0); producers at 1 and 2; consumer at 0.
@@ -203,7 +197,7 @@ TEST(LocalRule, MovesToAvoidTheSlowLinkEntirely) {
 
 TEST(LocalRule, CurrentSiteWinsTies) {
   const auto tree = CombinationTree::complete_binary(2);
-  const CostModel model(tree, simple_params());
+  const CostModel model(tree, CostModelParams{});
   const LocalRule rule(model);
   MapResolver r;
   const double bw = 50e3;
@@ -217,7 +211,7 @@ TEST(LocalRule, CurrentSiteWinsTies) {
 
 TEST(LocalRule, ExtraCandidatesAreConsidered) {
   const auto tree = CombinationTree::complete_binary(4);
-  const CostModel model(tree, simple_params());
+  const CostModel model(tree, CostModelParams{});
   const LocalRule rule(model);
   MapResolver r;
   // Hosts 0..4; operator at 0 with producers 1, 2, consumer 0. Host 3 has
@@ -239,7 +233,7 @@ TEST(LocalRule, ExtraCandidatesAreConsidered) {
 
 TEST(LocalRule, RecordsUnknownPairs) {
   const auto tree = CombinationTree::complete_binary(2);
-  const CostModel model(tree, simple_params());
+  const CostModel model(tree, CostModelParams{});
   const LocalRule rule(model);
   MapResolver r;  // knows nothing
   const auto d = rule.choose(0, 1, 2, 0, {}, r);
@@ -249,7 +243,7 @@ TEST(LocalRule, RecordsUnknownPairs) {
 TEST(LocalRule, ChoiceMinimizesLocalCostOverCandidates) {
   Rng rng(5150);
   const auto tree = CombinationTree::complete_binary(8);
-  const CostModel model(tree, simple_params());
+  const CostModel model(tree, CostModelParams{});
   const LocalRule rule(model);
   for (int trial = 0; trial < 20; ++trial) {
     auto r = random_resolver(9, rng.next_u64());

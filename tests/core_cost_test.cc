@@ -11,16 +11,6 @@
 namespace wadc::core {
 namespace {
 
-CostModelParams simple_params() {
-  CostModelParams p;
-  p.startup_seconds = 0.05;
-  p.partition_bytes = 128 * 1024;
-  p.compute_seconds_per_byte = 7e-6;
-  p.disk_bytes_per_second = 3e6;
-  p.pessimistic_bandwidth = 400.0;
-  return p;
-}
-
 // Fills a resolver with random bandwidths strictly above the pessimistic
 // bound (the generator's floor guarantees this in real runs; it is also the
 // condition for branch-and-bound pruning to be exact).
@@ -67,7 +57,7 @@ double brute_force_placement_cost(const CombinationTree& tree,
 
 TEST(CostModel, EdgeCostFormula) {
   const auto tree = CombinationTree::complete_binary(2);
-  const CostModel model(tree, simple_params());
+  const CostModel model(tree, CostModelParams{});
   MapResolver r;
   r.set(0, 1, 1000.0);
   EXPECT_DOUBLE_EQ(model.edge_cost(0, 1, r, nullptr),
@@ -77,7 +67,7 @@ TEST(CostModel, EdgeCostFormula) {
 
 TEST(CostModel, UnknownEdgeUsesPessimisticAndRecordsPair) {
   const auto tree = CombinationTree::complete_binary(2);
-  const CostModel model(tree, simple_params());
+  const CostModel model(tree, CostModelParams{});
   MapResolver r;  // empty
   std::set<HostPair> unknown;
   const double cost = model.edge_cost(1, 2, r, &unknown);
@@ -87,7 +77,7 @@ TEST(CostModel, UnknownEdgeUsesPessimisticAndRecordsPair) {
 
 TEST(CostModel, ComputeAndDiskCosts) {
   const auto tree = CombinationTree::complete_binary(2);
-  const CostModel model(tree, simple_params());
+  const CostModel model(tree, CostModelParams{});
   EXPECT_DOUBLE_EQ(model.compute_cost(), 7e-6 * 128 * 1024);
   EXPECT_DOUBLE_EQ(model.disk_cost(), 128.0 * 1024 / 3e6);
 }
@@ -96,7 +86,7 @@ TEST(CriticalPath, AllAtClientHandComputed) {
   // Two servers, one operator at the client. Critical path goes through the
   // slower server link.
   const auto tree = CombinationTree::complete_binary(2);
-  const CostModel model(tree, simple_params());
+  const CostModel model(tree, CostModelParams{});
   MapResolver r;
   r.set(0, 1, 10e3);  // server host 1 -> client
   r.set(0, 2, 5e3);   // server host 2 -> client (slower)
@@ -113,7 +103,7 @@ TEST(CriticalPath, AllAtClientHandComputed) {
 
 TEST(CriticalPath, PathListsOperatorsRootDown) {
   const auto tree = CombinationTree::complete_binary(8);
-  const CostModel model(tree, simple_params());
+  const CostModel model(tree, CostModelParams{});
   auto r = random_resolver(tree.num_hosts(), 3);
   const auto p = Placement::all_at_client(tree);
   const auto cp = model.critical_path(p, r);
@@ -132,7 +122,7 @@ TEST(CriticalPath, CoLocatedSubtreePrunes) {
   // counter should be non-zero and no bandwidth should be needed for edges
   // inside a co-located chain.
   const auto tree = CombinationTree::complete_binary(4);
-  const CostModel model(tree, simple_params());
+  const CostModel model(tree, CostModelParams{});
   MapResolver r;
   // op0=(s0,s1) at client; op1=(s2,s3) at host 3; root at client.
   auto p = Placement::all_at_client(tree);
@@ -155,7 +145,7 @@ TEST_P(CriticalPathPropertyTest, MatchesBruteForceOnRandomPlacements) {
     for (const auto shape :
          {TreeShape::kCompleteBinary, TreeShape::kLeftDeep}) {
       const auto tree = CombinationTree::make(shape, servers);
-      const CostModel model(tree, simple_params());
+      const CostModel model(tree, CostModelParams{});
       auto r = random_resolver(tree.num_hosts(),
                                rng.next_u64());
       for (int trial = 0; trial < 10; ++trial) {
@@ -183,7 +173,7 @@ TEST(CriticalPath, ReportedPathCostIsConsistent) {
   // reported critical-path cost.
   Rng rng(77);
   const auto tree = CombinationTree::complete_binary(8);
-  const CostModel model(tree, simple_params());
+  const CostModel model(tree, CostModelParams{});
   auto r = random_resolver(tree.num_hosts(), 5);
   Placement p = Placement::all_at_client(tree);
   for (OperatorId op = 0; op < tree.num_operators(); ++op) {
@@ -208,7 +198,7 @@ TEST(CriticalPath, ReportedPathCostIsConsistent) {
 
 TEST(CriticalPath, UnknownPairsReportedForSparseResolver) {
   const auto tree = CombinationTree::complete_binary(4);
-  const CostModel model(tree, simple_params());
+  const CostModel model(tree, CostModelParams{});
   MapResolver r;  // knows nothing
   auto p = Placement::all_at_client(tree);
   p.set_location(0, 1);
@@ -226,7 +216,7 @@ TEST(CriticalPath, PruningStatisticsExposed) {
   // With every operator at the client, sibling subtrees tie; at least the
   // resolver usage must stay bounded and stats must be populated.
   const auto tree = CombinationTree::complete_binary(16);
-  const CostModel model(tree, simple_params());
+  const CostModel model(tree, CostModelParams{});
   auto r = random_resolver(tree.num_hosts(), 11);
   const auto cp =
       model.critical_path(Placement::all_at_client(tree), r);

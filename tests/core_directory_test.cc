@@ -7,15 +7,14 @@
 namespace wadc::core {
 namespace {
 
-OperatorDirectory make_dir(int ops, MergeRule rule) {
-  const auto tree = CombinationTree::complete_binary(ops + 1);
-  return OperatorDirectory(Placement(ops, 0), rule);
+OperatorDirectory make_dir(int ops) {
+  return OperatorDirectory(Placement(ops, 0));
 }
 
 TEST(OperatorDirectory, InitialStateMatchesPlacement) {
   Placement p(3, 0);
   p.set_location(1, 4);
-  const OperatorDirectory dir(p, MergeRule::kEntryWise);
+  const OperatorDirectory dir(p);
   EXPECT_EQ(dir.num_operators(), 3);
   EXPECT_EQ(dir.location(0), 0);
   EXPECT_EQ(dir.location(1), 4);
@@ -23,7 +22,7 @@ TEST(OperatorDirectory, InitialStateMatchesPlacement) {
 }
 
 TEST(OperatorDirectory, RecordMoveBumpsTimestamp) {
-  auto dir = make_dir(3, MergeRule::kEntryWise);
+  auto dir = make_dir(3);
   dir.record_move(1, 5);
   EXPECT_EQ(dir.location(1), 5);
   EXPECT_EQ(dir.timestamp(1), 1u);
@@ -33,8 +32,8 @@ TEST(OperatorDirectory, RecordMoveBumpsTimestamp) {
 }
 
 TEST(OperatorDirectory, EntryWiseMergeTakesNewerEntries) {
-  auto a = make_dir(3, MergeRule::kEntryWise);
-  auto b = make_dir(3, MergeRule::kEntryWise);
+  auto a = make_dir(3);
+  auto b = make_dir(3);
   a.record_move(0, 7);
   b.record_move(1, 8);
   EXPECT_TRUE(a.merge(b));
@@ -45,8 +44,8 @@ TEST(OperatorDirectory, EntryWiseMergeTakesNewerEntries) {
 }
 
 TEST(OperatorDirectory, EntryWiseMergeIgnoresOlderEntries) {
-  auto a = make_dir(2, MergeRule::kEntryWise);
-  auto b = make_dir(2, MergeRule::kEntryWise);
+  auto a = make_dir(2);
+  auto b = make_dir(2);
   a.record_move(0, 3);
   a.record_move(0, 4);  // timestamp 2
   b.record_move(0, 9);  // timestamp 1 (older)
@@ -54,40 +53,8 @@ TEST(OperatorDirectory, EntryWiseMergeIgnoresOlderEntries) {
   EXPECT_EQ(a.location(0), 4);
 }
 
-TEST(OperatorDirectory, DominanceSemantics) {
-  auto a = make_dir(2, MergeRule::kVectorDominance);
-  auto b = make_dir(2, MergeRule::kVectorDominance);
-  EXPECT_FALSE(a.dominates(b));  // equal vectors do not dominate
-  a.record_move(0, 1);
-  EXPECT_TRUE(a.dominates(b));
-  b.record_move(1, 2);
-  EXPECT_FALSE(a.dominates(b));  // incomparable
-  EXPECT_FALSE(b.dominates(a));
-}
-
-TEST(OperatorDirectory, DominanceMergeOverwritesWholeVector) {
-  auto a = make_dir(2, MergeRule::kVectorDominance);
-  auto b = make_dir(2, MergeRule::kVectorDominance);
-  b.record_move(0, 5);
-  b.record_move(1, 6);
-  EXPECT_TRUE(a.merge(b));
-  EXPECT_EQ(a.location(0), 5);
-  EXPECT_EQ(a.location(1), 6);
-}
-
-TEST(OperatorDirectory, DominanceMergeStallsOnConcurrentMoves) {
-  // The paper's literal rule loses concurrent updates (the reason we default
-  // to the entry-wise merge; see DESIGN.md).
-  auto a = make_dir(2, MergeRule::kVectorDominance);
-  auto b = make_dir(2, MergeRule::kVectorDominance);
-  a.record_move(0, 3);
-  b.record_move(1, 4);
-  EXPECT_FALSE(a.merge(b));  // incomparable: nothing propagates
-  EXPECT_EQ(a.location(1), 0);
-}
-
 TEST(OperatorDirectory, ApplyEntryTakesNewerOnly) {
-  auto a = make_dir(2, MergeRule::kEntryWise);
+  auto a = make_dir(2);
   a.apply_entry(0, 7, 3);
   EXPECT_EQ(a.location(0), 7);
   EXPECT_EQ(a.timestamp(0), 3u);
@@ -106,7 +73,7 @@ TEST_P(GossipConvergenceTest, EntryWiseGossipConvergesToLatest) {
   const int ops = 7;
   std::vector<OperatorDirectory> dirs;
   for (int h = 0; h < hosts; ++h) {
-    dirs.push_back(make_dir(ops, MergeRule::kEntryWise));
+    dirs.push_back(make_dir(ops));
   }
   // Operator op is "owned" sequentially: each move happens at the host that
   // currently hosts it (mirroring the engine, where the origin site records

@@ -84,22 +84,6 @@ TEST(Ablation, PassiveOnlyMonitoringStillCompletes) {
   }
 }
 
-TEST(Ablation, MonitoringEntirelyDisabledStillCompletes) {
-  // Even with no passive monitoring at all (nothing ever measured), every
-  // algorithm must still deliver all partitions — it just cannot adapt.
-  for (const auto algorithm :
-       {core::AlgorithmKind::kOneShot, core::AlgorithmKind::kGlobal,
-        core::AlgorithmKind::kLocal}) {
-    auto spec = base_spec(algorithm, 309);
-    spec.monitor.passive_enabled = false;
-    spec.monitor.piggyback_enabled = false;
-    spec.monitor.probing_enabled = false;
-    const auto r = exp::run_experiment(shared_library(), spec);
-    EXPECT_TRUE(r.stats.completed) << core::algorithm_name(algorithm);
-    EXPECT_EQ(r.stats.relocations, 0);
-  }
-}
-
 // ---- failure injection -------------------------------------------------------
 
 // A network where every link collapses to the floor bandwidth partway

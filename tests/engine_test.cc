@@ -181,15 +181,6 @@ TEST(Local, ExtraCandidatesStillComplete) {
   }
 }
 
-TEST(Local, PaperMergeRuleAlsoCompletes) {
-  EngineParams ep;
-  ep.relocation_period_seconds = 120;
-  ep.merge_rule = core::MergeRule::kVectorDominance;
-  Stack stack(core::AlgorithmKind::kLocal, 43, 6, 60,
-              core::TreeShape::kCompleteBinary, ep);
-  EXPECT_TRUE(stack.run().completed);
-}
-
 TEST(Engine, RelocationsRespectTheLightMoveWindow) {
   // Every relocation for the global algorithm must land exactly at a
   // change-over boundary: the destination equals the new placement.
@@ -278,26 +269,11 @@ TEST(EngineParamsValidation, EachBadFieldNamesItselfInTheMessage) {
               p.local_extra_candidates = -1;
             }).find("local_extra_candidates"),
             std::string::npos);
-  EXPECT_NE(problem_with([](EngineParams& p) {
-              p.order_adoption_threshold = -0.1;
-            }).find("order_adoption_threshold"),
-            std::string::npos);
 }
 
-TEST(EngineParamsValidation, ZeroAdoptionThresholdIsLegal) {
-  // 0 means "never adopt a new order" and is used by the order-planner
-  // tests; it must not be rejected.
-  EngineParams p;
-  p.order_adoption_threshold = 0.0;
-  EXPECT_EQ(validate(p), "");
-}
-
-TEST(NetworkParamsValidation, RejectsBadStartupAndCapacity) {
+TEST(NetworkParamsValidation, RejectsBadCapacity) {
   net::NetworkParams p;
   EXPECT_EQ(p.validate(), "");
-  p.startup_seconds = -1;
-  EXPECT_NE(p.validate().find("startup"), std::string::npos);
-  p.startup_seconds = 0.05;
   p.host_capacity = 0;
   EXPECT_NE(p.validate().find("capacity"), std::string::npos);
 }

@@ -42,8 +42,7 @@ class MockEngineServices : public EngineServices {
         critical_(static_cast<std::size_t>(tree.num_operators())) {
     const core::Placement start = core::Placement::all_at_client(tree);
     for (net::HostId h = 0; h < tree.num_hosts(); ++h) {
-      directories_.push_back(std::make_unique<core::OperatorDirectory>(
-          start, params_.merge_rule));
+      directories_.push_back(std::make_unique<core::OperatorDirectory>(start));
     }
     alive_.assign(static_cast<std::size_t>(tree.num_hosts()), true);
   }
@@ -134,7 +133,7 @@ class MockEngineServices : public EngineServices {
     co_return;
   }
   RunStats& stats() override { return stats_; }
-  const obs::Obs& observability() const override { return obs_; }
+  const obs::Obs& observability() const override { return params_.obs; }
 
   RunStats stats_;
   bool probing_enabled_ = false;
@@ -153,7 +152,6 @@ class MockEngineServices : public EngineServices {
   std::vector<CriticalPathState> critical_;
   std::vector<std::unique_ptr<core::OperatorDirectory>> directories_;
   std::vector<bool> alive_;
-  obs::Obs obs_;
   std::vector<HopRecord> hops_;
   std::vector<RelocationRecord> relocations_;
   int fetch_bandwidth_calls_ = 0;

@@ -98,10 +98,10 @@ TEST(BandwidthCache, UnexpiredCount) {
 // ---- MonitoringSystem --------------------------------------------------------
 
 struct MonitorFixture {
-  explicit MonitorFixture(MonitorParams params = {})
-      : tr(10.0, {10000.0}), links(4) {
-    for (net::HostId a = 0; a < 4; ++a) {
-      for (net::HostId b = a + 1; b < 4; ++b) links.set_link(a, b, &tr);
+  explicit MonitorFixture(MonitorParams params = {}, int hosts = 4)
+      : tr(10.0, {10000.0}), links(hosts) {
+    for (net::HostId a = 0; a < hosts; ++a) {
+      for (net::HostId b = a + 1; b < hosts; ++b) links.set_link(a, b, &tr);
     }
     network = std::make_unique<net::Network>(sim, links, net::NetworkParams{});
     monitoring = std::make_unique<MonitoringSystem>(*network, params);
@@ -140,30 +140,25 @@ TEST(MonitoringSystem, SmallMessagesAreNotMeasured) {
   EXPECT_FALSE(f.monitoring->cached_bandwidth(0, 0, 1).has_value());
 }
 
-TEST(MonitoringSystem, PassiveDisabledRecordsNothing) {
-  MonitorParams params;
-  params.passive_enabled = false;
-  MonitorFixture f(params);
-  f.sim.spawn([](net::Network& n) -> sim::Task<> {
-    co_await n.transfer(0, 1, 64000.0);
-  }(*f.network));
-  f.sim.run();
-  EXPECT_EQ(f.monitoring->passive_samples(), 0u);
-}
-
 TEST(MonitoringSystem, PiggybackPayloadRespectsBudget) {
-  MonitorParams params;
-  params.piggyback_budget_bytes = 48;
-  params.piggyback_entry_bytes = 16;  // 3 entries max
-  MonitorFixture f(params);
+  // The 1 KB budget holds 64 samples of 16 bytes; a cache with 66 carries
+  // the freshest 64.
+  MonitorFixture f(MonitorParams{}, 13);
   auto& cache = f.monitoring->cache(0);
-  cache.record(0, 1, 1.0, 1.0);
-  cache.record(0, 2, 2.0, 2.0);
-  cache.record(0, 3, 3.0, 3.0);
-  cache.record(1, 2, 4.0, 4.0);
+  int recorded = 0;
+  for (net::HostId a = 0; a < 13; ++a) {
+    for (net::HostId b = a + 1; b < 13 && recorded < 66; ++b) {
+      ++recorded;
+      cache.record(a, b, 1000.0 + recorded, recorded);
+    }
+  }
+  ASSERT_EQ(recorded, 66);
   const auto payload = f.monitoring->piggyback_payload(0);
-  EXPECT_EQ(payload.size(), 3u);
-  EXPECT_DOUBLE_EQ(f.monitoring->payload_bytes(payload), 48.0);
+  EXPECT_EQ(payload.size(), 64u);
+  EXPECT_DOUBLE_EQ(f.monitoring->payload_bytes(payload), 1024.0);
+  for (const auto& sample : payload) {
+    EXPECT_GT(sample.sample.measured_at, 2.0);  // the two oldest stay out
+  }
 }
 
 TEST(MonitoringSystem, PayloadDeliveryMergesIntoReceiver) {

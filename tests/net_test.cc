@@ -9,6 +9,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/model_constants.h"
 #include "common/rng.h"
 #include "net/link_table.h"
 #include "net/network.h"
@@ -226,19 +227,15 @@ TEST(Network, BandwidthChangeMidTransferIsHonored) {
   trace::BandwidthTrace tr(10.0, {100.0, 200.0});
   LinkTable links(2);
   links.set_link(0, 1, &tr);
-  NetworkParams params;
-  params.startup_seconds = 0;  // simplify arithmetic
-  Network network(sim, links, params);
+  Network network(sim, links, NetworkParams{});
   TransferRecord rec;
   sim.spawn([](Network& n, TransferRecord& out) -> sim::Task<> {
-    // 1500 B from t=5: 500 B at 100 B/s (5 s), 1000 B at 200 B/s (5 s).
     out = co_await n.transfer(0, 1, 1500.0);
   }(network, rec));
-  sim.schedule_at(5.0, [] {});  // make sure nothing else runs first
   sim.run();
-  // The transfer starts at t=0 though: 1000 B at 100 (10 s) + 500 at 200
-  // (2.5 s) = 12.5 s.
-  EXPECT_DOUBLE_EQ(rec.completed, 12.5);
+  // Bytes flow from the 0.05 s startup on: 995 B at 100 B/s until the
+  // trace steps at t=10 (9.95 s), then 505 B at 200 B/s (2.525 s).
+  EXPECT_DOUBLE_EQ(rec.completed, 12.525);
 }
 
 TEST(Network, ObserversSeeCompletedTransfers) {
@@ -494,7 +491,7 @@ class ReferenceNetwork {
     e.caller->record.started = sim_.now();
     e.dropped = drop_p_ > 0 && drop_rng_->bernoulli(drop_p_);
     const double end = links_.finish_time(
-        e.src, e.dst, sim_.now() + params_.startup_seconds, e.bytes);
+        e.src, e.dst, sim_.now() + kMessageStartupSeconds, e.bytes);
     const std::uint64_t seq = e.seq;
     e.completion = sim_.schedule_at_cancellable(end, [this, seq] {
       finish(seq,

@@ -10,12 +10,6 @@
 namespace wadc::core {
 namespace {
 
-CostModelParams simple_params() {
-  CostModelParams p;
-  p.pessimistic_bandwidth = 400.0;
-  return p;
-}
-
 MapResolver random_resolver(int hosts, std::uint64_t seed) {
   Rng rng(seed);
   MapResolver r;
@@ -68,7 +62,7 @@ TEST(CustomTreeDeath, RejectsWrongOperatorCount) {
 TEST(OrderPlanner, ProducesAValidTree) {
   Rng rng(5);
   for (const int servers : {2, 3, 4, 8, 13}) {
-    const OrderPlanner planner(servers, simple_params());
+    const OrderPlanner planner(servers);
     auto resolver = random_resolver(servers + 1, rng.next_u64());
     const auto outcome = planner.plan(resolver);
     EXPECT_EQ(outcome.tree.num_servers(), servers);
@@ -83,10 +77,10 @@ TEST(OrderPlanner, ProducesAValidTree) {
 }
 
 TEST(OrderPlanner, CostMatchesItsOwnTreeAndPlacement) {
-  const OrderPlanner planner(8, simple_params());
+  const OrderPlanner planner(8);
   auto resolver = random_resolver(9, 11);
   const auto outcome = planner.plan(resolver);
-  const CostModel model(outcome.tree, simple_params());
+  const CostModel model(outcome.tree, CostModelParams{});
   EXPECT_NEAR(model.placement_cost(outcome.placement, resolver),
               outcome.cost, 1e-9);
 }
@@ -100,11 +94,11 @@ TEST(OrderPlanner, AtLeastAsGoodAsOneShotOnFixedBinaryTree) {
   const int trials = 20;
   for (int trial = 0; trial < trials; ++trial) {
     auto resolver = random_resolver(9, rng.next_u64());
-    const OrderPlanner planner(8, simple_params());
+    const OrderPlanner planner(8);
     const auto ordered = planner.plan(resolver);
 
     const auto binary_tree = CombinationTree::complete_binary(8);
-    const CostModel binary_model(binary_tree, simple_params());
+    const CostModel binary_model(binary_tree, CostModelParams{});
     const OneShotPlanner one_shot(binary_model);
     const auto fixed = one_shot.plan_from_scratch(resolver);
 
@@ -123,7 +117,7 @@ TEST(OrderPlanner, PairsServersAcrossTheirFastLink) {
   }
   r.set(1, 2, 300e3);
   r.set(0, 1, 300e3);
-  const OrderPlanner planner(4, simple_params());
+  const OrderPlanner planner(4);
   const auto outcome = planner.plan(r);
   // Some operator combines exactly servers 0 and 1 (hosts 1 and 2).
   bool found = false;
@@ -143,7 +137,7 @@ TEST(OrderPlanner, FixAtClientPlacesEverythingAtTheClient) {
   auto resolver = random_resolver(9, 41);
   OrderPlannerOptions options;
   options.fix_at_client = true;
-  const OrderPlanner planner(8, simple_params(), OneShotParams{}, options);
+  const OrderPlanner planner(8, OneShotParams{}, options);
   const auto outcome = planner.plan(resolver);
   for (OperatorId op = 0; op < outcome.tree.num_operators(); ++op) {
     EXPECT_EQ(outcome.placement.location(op), 0);
@@ -152,7 +146,7 @@ TEST(OrderPlanner, FixAtClientPlacesEverythingAtTheClient) {
 
 TEST(OrderPlanner, ReportsUnknownPairs) {
   MapResolver empty;
-  const OrderPlanner planner(4, simple_params());
+  const OrderPlanner planner(4);
   const auto outcome = planner.plan(empty);
   EXPECT_FALSE(outcome.unknown_pairs.empty());
 }
@@ -245,19 +239,6 @@ TEST(ReorderOnly, IsInherentlyLimited) {
     EXPECT_GT(speedup, 0.85) << "seed " << seed;
     EXPECT_LT(speedup, 1.25) << "seed " << seed;
   }
-}
-
-TEST(GlobalOrder, AdoptionThresholdOneNeverSwitchesTrees) {
-  exp::ExperimentSpec spec;
-  spec.algorithm = core::AlgorithmKind::kGlobalOrder;
-  spec.num_servers = 6;
-  spec.iterations = 60;
-  spec.relocation_period_seconds = 150;
-  spec.config_seed = 905;
-  spec.engine_base.order_adoption_threshold = 0.0;  // nothing can qualify
-  const auto r = exp::run_experiment(shared_library(), spec);
-  EXPECT_TRUE(r.stats.completed);
-  EXPECT_EQ(r.stats.barriers_initiated, 0);
 }
 
 }  // namespace

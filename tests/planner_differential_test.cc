@@ -16,6 +16,7 @@
 #include <set>
 #include <vector>
 
+#include "common/model_constants.h"
 #include "common/rng.h"
 #include "core/bandwidth_resolver.h"
 #include "core/cost_model.h"
@@ -29,7 +30,7 @@ namespace {
 class ReferenceSearch {
  public:
   explicit ReferenceSearch(const CostModel& model)
-      : model_(model), tree_(model.tree()), params_(model.params()) {}
+      : model_(model), tree_(model.tree()) {}
 
   CostModel::CriticalPathResult critical_path(const Placement& p,
                                               BandwidthResolver& r) const {
@@ -112,8 +113,7 @@ class ReferenceSearch {
   };
 
   double pessimistic_edge() const {
-    return params_.startup_seconds +
-           params_.partition_bytes / params_.pessimistic_bandwidth;
+    return kMessageStartupSeconds + kMeanImageBytes / kPessimisticBandwidth;
   }
 
   double subtree_upper_bound(const Child& child, const Placement& p) const {
@@ -172,7 +172,6 @@ class ReferenceSearch {
 
   const CostModel& model_;
   const CombinationTree& tree_;
-  const CostModelParams& params_;
 };
 
 // ---- random inputs ----------------------------------------------------------

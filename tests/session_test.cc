@@ -205,7 +205,7 @@ TEST(SessionSpec, ValidateRejectsBadShapes) {
 // response predictor
 
 TEST(ResponsePredictor, NoBandwidthMeansNoPrediction) {
-  const ResponsePredictor pred(1000.0, 10, 0.05);
+  const ResponsePredictor pred(1000.0, 10);
   LoadSignals idle;
   EXPECT_FALSE(pred.predict(idle).has_value());
   idle.client_bandwidth = 0.0;  // a zero estimate is no estimate
@@ -213,7 +213,7 @@ TEST(ResponsePredictor, NoBandwidthMeansNoPrediction) {
 }
 
 TEST(ResponsePredictor, ModelMatchesHandComputation) {
-  const ResponsePredictor pred(1000.0, 10, 0.05);
+  const ResponsePredictor pred(1000.0, 10);
   // Unloaded: 10 messages * 50 ms + 1000 B / 100 B/s = 10.5 s.
   EXPECT_DOUBLE_EQ(pred.service_seconds(100.0), 10.5);
 
@@ -302,7 +302,7 @@ TEST(AdmissionController, DeadlinePolicyShedsPredictedMisses) {
   AdmissionParams params;
   params.policy = AdmissionPolicy::kDeadlineAware;
   params.deadline_seconds = 15.0;
-  const ResponsePredictor pred(1000.0, 10, 0.05);  // 10.5 s unloaded at bw 100
+  const ResponsePredictor pred(1000.0, 10);  // 10.5 s unloaded at bw 100
   LoadSignals signals;
   signals.client_bandwidth = 100.0;
   AdmissionController ctrl(params, [&] { return signals; }, &pred);
@@ -345,7 +345,7 @@ TEST(AdmissionController, DeadlinePolicyWithoutDeadlineAdmits) {
   AdmissionParams params;
   params.policy = AdmissionPolicy::kDeadlineAware;
   params.deadline_seconds = 0;  // no default deadline
-  const ResponsePredictor pred(1000.0, 10, 0.05);
+  const ResponsePredictor pred(1000.0, 10);
   LoadSignals signals;
   signals.client_bandwidth = 1.0;  // hopeless bandwidth, but no deadline
   AdmissionController ctrl(params, [&] { return signals; }, &pred);

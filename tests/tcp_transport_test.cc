@@ -48,12 +48,6 @@ bool pump_until(EpollLoop& loop, Pred pred, double timeout_s = 5.0) {
   return true;
 }
 
-TcpTransportParams unlimited_params() {
-  TcpTransportParams p;
-  p.rate_limit = false;
-  return p;
-}
-
 // All-pairs rate table for `n` hosts, one rate everywhere.
 std::vector<double> uniform_rates(int n, double rate) {
   std::vector<double> rates(static_cast<std::size_t>(n) *
@@ -110,7 +104,7 @@ TEST(EpollLoopTest, EarliestOfSeveralTimersFiresFirst) {
 
 TEST(TcpTransportTest, FramingRoundTripAcrossSizes) {
   EpollLoop loop;
-  TcpTransport transport(loop, 2, unlimited_params(), uniform_rates(2, 0));
+  TcpTransport transport(loop, 2, /*time_scale=*/1, uniform_rates(2, 0));
   Completions completions;
   transport.set_completion(&Completions::on_done, &completions);
 
@@ -139,7 +133,7 @@ TEST(TcpTransportTest, FramingRoundTripAcrossSizes) {
 
 TEST(TcpTransportTest, ConcurrentTransfersDrainThroughBackpressure) {
   EpollLoop loop;
-  TcpTransport transport(loop, 3, unlimited_params(), uniform_rates(3, 0));
+  TcpTransport transport(loop, 3, /*time_scale=*/1, uniform_rates(3, 0));
   Completions completions;
   transport.set_completion(&Completions::on_done, &completions);
 
@@ -169,10 +163,7 @@ TEST(TcpTransportTest, PeerCloseMidTransferSurfacesFailure) {
   EpollLoop loop;
   // Paced slowly so the transfers are still in flight when the channel
   // dies: 1000 logical bytes per wall second.
-  TcpTransportParams params;
-  params.time_scale = 1;
-  params.rate_limit = true;
-  TcpTransport transport(loop, 3, params, uniform_rates(3, 1000));
+  TcpTransport transport(loop, 3, /*time_scale=*/1, uniform_rates(3, 1000));
   Completions completions;
   transport.set_completion(&Completions::on_done, &completions);
 
@@ -197,11 +188,9 @@ TEST(TcpTransportTest, PeerCloseMidTransferSurfacesFailure) {
 
 TEST(TcpTransportTest, PacingApproximatesConfiguredRate) {
   EpollLoop loop;
-  TcpTransportParams params;
-  params.time_scale = 1;  // 1 sim second per wall second
-  params.rate_limit = true;
-  // 2000 logical bytes per second; 300 bytes should take ~0.15 s.
-  TcpTransport transport(loop, 2, params, uniform_rates(2, 2000));
+  // 2000 logical bytes per second at 1 sim second per wall second; 300
+  // bytes should take ~0.15 s.
+  TcpTransport transport(loop, 2, /*time_scale=*/1, uniform_rates(2, 2000));
   Completions completions;
   transport.set_completion(&Completions::on_done, &completions);
 
@@ -217,10 +206,7 @@ TEST(TcpTransportTest, PacingApproximatesConfiguredRate) {
 
 TEST(TcpTransportTest, CancelBeforeReleaseDropsQueuedFrame) {
   EpollLoop loop;
-  TcpTransportParams params;
-  params.time_scale = 1;
-  params.rate_limit = true;
-  TcpTransport transport(loop, 2, params, uniform_rates(2, 1000));
+  TcpTransport transport(loop, 2, /*time_scale=*/1, uniform_rates(2, 1000));
   Completions completions;
   transport.set_completion(&Completions::on_done, &completions);
 
@@ -239,7 +225,7 @@ TEST(TcpTransportTest, CancelBeforeReleaseDropsQueuedFrame) {
 
 TEST(TcpTransportTest, ListenersBindDistinctLoopbackPorts) {
   EpollLoop loop;
-  TcpTransport transport(loop, 4, unlimited_params(), uniform_rates(4, 0));
+  TcpTransport transport(loop, 4, /*time_scale=*/1, uniform_rates(4, 0));
   std::vector<int> ports;
   for (int h = 0; h < 4; ++h) {
     const int port = transport.listen_port(h);

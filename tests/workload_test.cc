@@ -4,6 +4,7 @@
 #include <cmath>
 #include <set>
 
+#include "common/model_constants.h"
 #include "workload/image_workload.h"
 
 namespace wadc::workload {
@@ -82,14 +83,18 @@ TEST(ImageWorkload, SizesMatchTheFittedDistribution) {
 }
 
 TEST(ImageWorkload, SizesRespectTheFloor) {
-  WorkloadParams params;
-  params.min_bytes = 100e3;  // aggressive floor to force truncation
-  const ImageWorkload w(params, 8, 5);
+  // The floor sits 3.75 sigma below the mean; seed 27 draws one image
+  // below it, which the sampler raises to the floor exactly.
+  const WorkloadParams params;
+  const ImageWorkload w(params, 8, 27);
+  int at_floor = 0;
   for (int s = 0; s < 8; ++s) {
     for (int i = 0; i < params.iterations; ++i) {
-      EXPECT_GE(w.image(s, i).bytes, 100e3);
+      EXPECT_GE(w.image(s, i).bytes, kMinImageBytes);
+      if (w.image(s, i).bytes == kMinImageBytes) ++at_floor;
     }
   }
+  EXPECT_EQ(at_floor, 1);
 }
 
 TEST(ImageWorkload, CostHelpers) {
@@ -103,8 +108,8 @@ TEST(ImageWorkload, CostHelpers) {
 TEST(ImageWorkload, ObservedMeanIsCloseToConfigured) {
   const WorkloadParams params;
   const ImageWorkload w(params, 16, 9);
-  EXPECT_NEAR(w.observed_mean_bytes(), params.mean_bytes,
-              0.03 * params.mean_bytes);
+  EXPECT_NEAR(w.observed_mean_bytes(), kMeanImageBytes,
+              0.03 * kMeanImageBytes);
 }
 
 TEST(ImageWorkload, LineagesAcrossServersAreDistinct) {

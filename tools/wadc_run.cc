@@ -92,7 +92,7 @@ void usage() {
       "                         scaled wall-clock time (forces --jobs=1;\n"
       "                         timings vary run to run)\n"
       "  --time-scale=X         tcp backend: simulated seconds per wall\n"
-      "                         second (default 600)\n"
+      "                         second, at least 1 (default 600)\n"
       "  --servers=N            number of data servers (default 8)\n"
       "  --iterations=N         partitions per server (default 180)\n"
       "  --shape=binary|left-deep|right-deep (default binary)\n"
@@ -142,12 +142,6 @@ void usage() {
       "  --csv                  machine-readable output\n");
 }
 
-// A finite number > 0.
-std::optional<double> parse_positive(std::string_view text) {
-  const std::optional<double> v = parse_number<double>(text);
-  return v && *v > 0 ? v : std::nullopt;
-}
-
 // Reads the command line into `opt` (--help prints usage and exits 0).
 // Returns false after printing a line that names the offending flag or
 // value.
@@ -165,8 +159,7 @@ bool parse(int argc, char** argv, Options& opt) {
                     {"reorder-only", AlgorithmKind::kReorderOnly}}),
        choice_flag("--backend", opt.spec.backend,
                    {{"sim", exp::Backend::kSim}, {"tcp", exp::Backend::kTcp}}),
-       parsed_flag("--time-scale", opt.spec.tcp_time_scale, parse_positive,
-                   "a number > 0"),
+       number_flag("--time-scale", opt.spec.tcp_time_scale, 1.0),
        number_flag("--servers", opt.spec.num_servers, 2),
        number_flag("--iterations", opt.spec.iterations, 1),
        choice_flag("--shape", opt.spec.tree_shape,
