@@ -99,12 +99,6 @@ monitor::MonitorParams monitor_params(const ExperimentSpec& spec) {
   return mp;
 }
 
-workload::WorkloadParams workload_params(const ExperimentSpec& spec) {
-  workload::WorkloadParams wp = spec.workload;
-  wp.iterations = spec.iterations;
-  return wp;
-}
-
 // Everything one run builds on top of its simulation/network pair: the
 // fault injector, the monitoring, the tree, the workload, the cache fabric
 // and the engine params that point at them. Both run paths build their run
@@ -123,7 +117,8 @@ struct RunStack {
         injector(make_injector(spec, sim, network)),
         monitoring(network, monitor_params(spec)),
         tree(core::CombinationTree::make(spec.tree_shape, spec.num_servers)),
-        workload(workload_params(spec), spec.num_servers, spec.config_seed),
+        workload(workload::WorkloadParams{spec.iterations}, spec.num_servers,
+                 spec.config_seed),
         engine_params(spec.engine_params(spec.config_seed)) {
     // Observability attaches before the cache fabric and the engines
     // register their own metrics.

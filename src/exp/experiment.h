@@ -48,6 +48,8 @@ struct ExperimentSpec {
   sim::SimTime relocation_period_seconds = 600;  // "once every 10 minutes"
   int local_extra_candidates = 0;
 
+  // Unread: the run sizes its workload from `iterations` above. Kept only
+  // because existing callers copy it.
   workload::WorkloadParams workload;
   monitor::MonitorParams monitor;
   net::NetworkParams network;

@@ -99,10 +99,11 @@ if ! timeout 10 "$RUN" --timeline-interval=1 \
 fi
 
 # The tcp backend paces simulated time against the wall clock, so a scale
-# below real time only stretches the run (0.5 outlasts any timeout on this
-# small run) and a tiny one overflows the loop's timer (1e-300 aborted):
-# the floor is 1, real time. Without --backend=tcp the flag is only read,
-# so a binary without the floor fails here at once instead of hanging.
+# below real time only stretches the run (at 0.5 even this small run
+# outlasts any timeout) and a tiny one overflows the event loop's timerfd
+# (1e-300 aborts): the floor is 1, real time. Without --backend=tcp the
+# flag is only read, so a binary without the floor fails here at once
+# instead of hanging.
 expect_reject "--time-scale=1e-300" "'1e-300'" \
   timeout 10 "$RUN" --time-scale=1e-300 "${small[@]}"
 expect_reject "--time-scale=0.5" "'0.5'" \
