@@ -2,15 +2,15 @@
 //
 // Placement algorithms never see the ground-truth traces; they see what the
 // monitoring subsystem knows (§2: bandwidth information is "a sparse
-// matrix"). A resolver answers pair-bandwidth queries and reports misses;
-// the planning drivers react to misses by issuing on-demand probes and
-// re-planning, which realizes the paper's observation that branch-and-bound
-// planning only needs a *subset* of the links measured (§2.1).
+// matrix"). A resolver answers pair-bandwidth queries, with nullopt for a
+// pair it does not know; the planning drivers react to the unknown pairs a
+// plan needed by issuing on-demand probes and re-planning, which realizes
+// the paper's observation that branch-and-bound planning only needs a
+// *subset* of the links measured (§2.1).
 #pragma once
 
 #include <map>
 #include <optional>
-#include <set>
 #include <utility>
 
 #include "monitor/bandwidth_cache.h"
@@ -30,8 +30,6 @@ class BandwidthResolver {
   virtual ~BandwidthResolver() = default;
 
   // Bandwidth estimate for {a, b} in bytes/second, or nullopt if unknown.
-  // Implementations record the pairs they were asked about so planning
-  // drivers can see what a real system would have had to measure.
   //
   // The answer is symmetric in (a, b) and does not change during one
   // synchronous OneShotPlanner::plan() call, which therefore asks about
@@ -50,20 +48,17 @@ class OracleResolver final : public BandwidthResolver {
       : links_(links), time_(at_time) {}
 
   std::optional<double> bandwidth(net::HostId a, net::HostId b) override {
-    queried_.insert(make_pair_key(a, b));
     return links_.bandwidth_at(a, b, time_);
   }
-
-  const std::set<HostPair>& queried() const { return queried_; }
 
  private:
   const net::LinkTable& links_;
   sim::SimTime time_;
-  std::set<HostPair> queried_;
 };
 
-// Resolver over one host's monitoring cache. Records misses (pairs with no
-// usable sample) for the driver to probe.
+// Resolver over one host's monitoring cache. A pair with no usable sample
+// is unknown; the planner reports the unknown pairs it needed, and the
+// driver probes them.
 //
 // A sample is usable if it is within the cache's T_thres timeout, or — when
 // `accept_after` >= 0 — if it was measured at or after that watermark.
@@ -84,21 +79,14 @@ class CacheResolver final : public BandwidthResolver {
       const auto any = cache_.lookup_any_age(a, b);
       if (any && any->measured_at >= accept_after_) s = any;
     }
-    if (!s) {
-      misses_.insert(make_pair_key(a, b));
-      return std::nullopt;
-    }
+    if (!s) return std::nullopt;
     return s->bandwidth;
   }
-
-  const std::set<HostPair>& misses() const { return misses_; }
-  void clear_misses() { misses_.clear(); }
 
  private:
   const monitor::BandwidthCache& cache_;
   sim::SimTime now_;
   sim::SimTime accept_after_;
-  std::set<HostPair> misses_;
 };
 
 // Fixed-table resolver for unit tests.

@@ -23,18 +23,19 @@ PlanOutcome OneShotPlanner::plan(BandwidthResolver& resolver,
   for (int iter = 0; iter < params_.max_iterations; ++iter) {
     // Paper §2.1: C' <- C; for each operator on the critical path K,
     // consider all alternative locations; keep the cheapest; accept only if
-    // it strictly improves on C. Each candidate is costed in place: the
-    // move is applied to out.placement and undone after the walk.
+    // it strictly improves on C. A candidate is costed along the moved
+    // operator's chain to the root, against the walk of out.placement just
+    // made, which the loop leaves unchanged.
     double best_cost = out.cost;
     OperatorId best_op = kNoOperator;
     net::HostId best_host = net::kInvalidHost;
 
     for (const OperatorId op : path) {
       const net::HostId current = out.placement.location(op);
+      model_.begin_move(out.placement, op, memo);
       for (net::HostId host = 0; host < tree.num_hosts(); ++host) {
         if (host == current) continue;
-        out.placement.set_location(op, host);
-        const double cost = model_.critical_path_cost(out.placement, memo);
+        const double cost = model_.move_cost(out.placement, host, memo);
         ++out.candidates_evaluated;
         // "<=" as in the paper's pseudocode: later ties win within a pass.
         if (cost <= best_cost) {
@@ -43,7 +44,6 @@ PlanOutcome OneShotPlanner::plan(BandwidthResolver& resolver,
           best_host = host;
         }
       }
-      out.placement.set_location(op, current);
     }
 
     // Stop when no candidate strictly improves on C (C' < C fails).

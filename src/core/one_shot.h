@@ -7,6 +7,11 @@
 // improves the critical-path cost. The search only resolves bandwidth for
 // links that candidate evaluations actually touch, so only a subset of the
 // links needs to be measured.
+//
+// Each iteration walks the current placement's whole tree once; each
+// candidate move is then costed along the moved operator's chain to the
+// root (CostModel::move_cost), which gives the cost a whole-tree walk of
+// the moved placement would and resolves the same links.
 #pragma once
 
 #include <cstdint>

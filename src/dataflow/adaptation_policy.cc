@@ -47,15 +47,23 @@ void emit_initial_plan_trace(EngineServices& services, sim::SimTime begin) {
 // ---------------------------------------------------------------------------
 // shared planning helpers
 
-// Probe-and-replan at the client for unknown link bandwidths (§2.1):
-// `plan` runs a planner over the client's cache, and the pairs it had to
-// cost pessimistically are probed before it plans again, for at most
-// kMaxPlanProbeRounds probe rounds. Takes simulated time: probes are real
-// traffic.
+// Runs `plan`, a planner over one resolver, on the bandwidth knowledge of
+// the planning client. Under the oracle ablation that is ground truth: one
+// round and no probe traffic. Otherwise it is the client's cache with
+// probe-and-replan for unknown link bandwidths (§2.1): the pairs a round
+// had to cost pessimistically are probed before it plans again, for at
+// most kMaxPlanProbeRounds probe rounds. Takes simulated time: probes are
+// real traffic.
 template <typename Plan,
           typename Outcome =
               std::invoke_result_t<Plan&, core::BandwidthResolver&>>
 sim::Task<Outcome> plan_with_probes(EngineServices& services, Plan plan) {
+  if (services.params().oracle_bandwidth) {
+    core::OracleResolver oracle(services.links(), services.simulation().now());
+    Outcome outcome = plan(oracle);
+    ++services.stats().plan_rounds;
+    co_return outcome;
+  }
   const net::HostId client = services.base_tree().client_host();
   const sim::SimTime session_start = services.simulation().now();
   Outcome outcome;
@@ -78,13 +86,6 @@ sim::Task<Outcome> plan_with_probes(EngineServices& services, Plan plan) {
 sim::Task<core::PlanOutcome> plan_placement(EngineServices& services,
                                             core::Placement initial) {
   const core::OneShotPlanner planner(services.cost_model());
-  if (services.params().oracle_bandwidth) {
-    // Ablation: idealized planning from ground truth, no probe traffic.
-    core::OracleResolver oracle(services.links(), services.simulation().now());
-    core::PlanOutcome outcome = planner.plan(oracle, std::move(initial));
-    ++services.stats().plan_rounds;
-    co_return outcome;
-  }
   co_return co_await plan_with_probes(
       services,
       [&](core::BandwidthResolver& r) { return planner.plan(r, initial); });
@@ -190,14 +191,23 @@ class OrderPolicy final : public AdaptationPolicy {
     decision.placement = services.current_placement();
     auto outcome = co_await plan_order(services, fix_at_client_);
     // Adopt the candidate only if it strictly beats the current plan under
-    // the same (post-probing) bandwidth knowledge.
-    core::CacheResolver resolver(
-        services.bandwidth_cache(services.base_tree().client_host()),
-        services.simulation().now(), services.simulation().now());
+    // the same bandwidth knowledge: ground truth under the oracle ablation,
+    // else the client's cache after the planner's probes.
+    const sim::SimTime now = services.simulation().now();
     const core::CostModel current_model(services.current_tree(),
                                         core::CostModelParams{});
-    const double current_cost =
-        current_model.placement_cost(services.current_placement(), resolver);
+    double current_cost;
+    if (services.params().oracle_bandwidth) {
+      core::OracleResolver oracle(services.links(), now);
+      current_cost =
+          current_model.placement_cost(services.current_placement(), oracle);
+    } else {
+      core::CacheResolver resolver(
+          services.bandwidth_cache(services.base_tree().client_host()), now,
+          now);
+      current_cost =
+          current_model.placement_cost(services.current_placement(), resolver);
+    }
     const bool adopt = outcome.cost < kOrderAdoptionThreshold * current_cost;
     const obs::Obs& obs = services.observability();
     if (obs.decisions) {

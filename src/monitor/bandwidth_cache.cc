@@ -89,6 +89,7 @@ Payload BandwidthCache::freshest_shared(sim::SimTime now,
     memo_->reserve(live_.size());
   }
   std::vector<PairSample>& fresh = *memo_;
+  sim::SimTime oldest = sim::kTimeInfinity;
   for (std::size_t pos = 0; pos < live_.size();) {
     const LivePair p = live_[pos];
     const Sample& e = entries_[p.index];
@@ -97,22 +98,25 @@ Payload BandwidthCache::freshest_shared(sim::SimTime now,
       continue;
     }
     fresh.push_back(PairSample{p.a, p.b, e});
+    oldest = std::min(oldest, e.measured_at);
     ++pos;
   }
-  std::sort(fresh.begin(), fresh.end(),
-            [](const PairSample& x, const PairSample& y) {
-              if (x.sample.measured_at != y.sample.measured_at) {
-                return x.sample.measured_at > y.sample.measured_at;
-              }
-              if (x.a != y.a) return x.a < y.a;
-              return x.b < y.b;
-            });
-  if (fresh.size() > max_entries) fresh.resize(max_entries);
-  // Truncation drops the *oldest* entries; they can only re-enter after an
-  // included entry expires, which already invalidates the memo.
-  memo_valid_until_ = fresh.empty()
-                          ? sim::kTimeInfinity
-                          : fresh.back().sample.measured_at + ttl_;
+  if (fresh.size() > max_entries) {
+    // Over budget: keep the newest. Truncation drops the *oldest* entries;
+    // they can only re-enter after an included entry expires, which
+    // already invalidates the memo.
+    std::sort(fresh.begin(), fresh.end(),
+              [](const PairSample& x, const PairSample& y) {
+                if (x.sample.measured_at != y.sample.measured_at) {
+                  return x.sample.measured_at > y.sample.measured_at;
+                }
+                if (x.a != y.a) return x.a < y.a;
+                return x.b < y.b;
+              });
+    fresh.resize(max_entries);
+    if (!fresh.empty()) oldest = fresh.back().sample.measured_at;
+  }
+  memo_valid_until_ = fresh.empty() ? sim::kTimeInfinity : oldest + ttl_;
   memo_stale_ = false;
   memo_max_entries_ = max_entries;
   return memo_;

@@ -58,9 +58,12 @@ class BandwidthCache {
   // some consumers; the placement algorithms use lookup()).
   std::optional<Sample> lookup_any_age(net::HostId a, net::HostId b) const;
 
-  // Up to `max_entries` freshest unexpired entries, newest first (ties by
-  // pair) — the payload source for piggybacking. The shared form returns
-  // the memoized snapshot itself (never null); the vector form copies it.
+  // Up to `max_entries` freshest unexpired entries — the payload source
+  // for piggybacking. When more entries are unexpired than fit, the
+  // payload is the newest `max_entries`, newest first (ties by pair);
+  // otherwise it holds every unexpired entry in unspecified order, since
+  // a receiver's merge does not depend on it. The shared form returns the
+  // memoized snapshot itself (never null); the vector form copies it.
   // Precondition: `now` never decreases from one call to the next (sim
   // time); a rebuild forgets the pairs it finds expired.
   Payload freshest_shared(sim::SimTime now, std::size_t max_entries) const;
@@ -68,6 +71,8 @@ class BandwidthCache {
                                    std::size_t max_entries) const;
 
   // Merges foreign samples (from piggyback payloads); newer timestamp wins.
+  // The entries that result do not depend on the samples' order, given
+  // that a pair appears once or always with the same sample.
   void merge(const std::vector<PairSample>& samples);
 
   // Drops the entry for {a, b} (back to "never measured").
@@ -111,7 +116,7 @@ class BandwidthCache {
 
   // freshest() memo. The hottest call in a run is freshest() — once per
   // outgoing message for the piggyback payload — while the cache content
-  // changes far less often, so the sorted result is cached. It stays valid
+  // changes far less often, so the result is cached. It stays valid
   // while (a) nothing was recorded or invalidated (memo_stale_), (b) the
   // request shape is unchanged, and (c) no included entry has crossed its
   // TTL horizon — entries excluded at compute time stay excluded, because

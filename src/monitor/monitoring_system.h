@@ -61,11 +61,12 @@ class MonitoringSystem {
   const BandwidthCache& cache(net::HostId h) const;
 
   // ---- piggybacking --------------------------------------------------
-  // Samples host `src` would attach to an outgoing message right now
-  // (freshest entries that fit the 1KB budget). The shared form hands out
-  // the cache's memoized snapshot — O(1) per message, null when
-  // piggybacking is disabled — and is what the dataflow engine's per-hop
-  // path uses; the vector form copies it.
+  // Samples host `src` would attach to an outgoing message right now:
+  // its unexpired entries, or the newest that fit the 1KB budget when
+  // more are unexpired (order: BandwidthCache::freshest_shared). The
+  // shared form hands out the cache's memoized snapshot — O(1) per
+  // message, null when piggybacking is disabled — and is what the
+  // dataflow engine's per-hop path uses; the vector form copies it.
   Payload piggyback_payload_shared(net::HostId src) const;
   std::vector<PairSample> piggyback_payload(net::HostId src) const;
   // Wire size of a payload; the dataflow engine adds this to message sizes.

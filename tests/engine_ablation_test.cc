@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "dataflow/engine.h"
 #include "exp/experiment.h"
 #include "net/network.h"
+#include "obs/metrics.h"
 #include "trace/library.h"
 
 namespace wadc::dataflow {
@@ -50,6 +52,32 @@ TEST(Ablation, OracleNeverNeedsProbes) {
   // Without probes the monitored planner cannot discover detours, so the
   // oracle must do at least as well.
   EXPECT_LE(oracle.completion_seconds, real.completion_seconds + 1e-6);
+}
+
+TEST(Ablation, OracleReachesTheOrderPlanners) {
+  // The order-adaptive planners plan from ground truth too: with the
+  // oracle on, neither start-up nor replanning probes a link. The same
+  // runs without the oracle do probe.
+  for (const auto algorithm : {core::AlgorithmKind::kGlobalOrder,
+                               core::AlgorithmKind::kReorderOnly}) {
+    for (const bool oracle : {true, false}) {
+      SCOPED_TRACE(std::string(core::algorithm_name(algorithm)) +
+                   (oracle ? " with the oracle" : " without"));
+      obs::MetricsRegistry metrics;
+      auto spec = base_spec(algorithm, 301);
+      spec.engine_base.oracle_bandwidth = oracle;
+      spec.obs.metrics = &metrics;
+      const auto r = exp::run_experiment(shared_library(), spec);
+      EXPECT_TRUE(r.stats.completed);
+      EXPECT_GT(r.stats.plan_rounds, 0u);
+      const double probes = metrics.counter("monitor.probes_issued").value();
+      if (oracle) {
+        EXPECT_EQ(probes, 0);
+      } else {
+        EXPECT_GT(probes, 0);
+      }
+    }
+  }
 }
 
 TEST(Ablation, NoProbesMeansNoStartupRelocation) {

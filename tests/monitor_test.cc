@@ -380,7 +380,22 @@ TEST(BandwidthCacheDeathTest, RejectsAPairOfAHostWithItself) {
 // same payloads on seeded random sequences of records in both argument
 // orders, merges, invalidations and advancing time — including samples
 // exactly at age == TTL, truncation at K, memo hits, and samples that
-// arrive already expired.
+// arrive already expired. A payload that is not truncated comes in no
+// particular order, so a sorted copy of it is compared.
+
+// Newest first, ties by pair: the order of a truncated payload.
+bool newer_first(const PairSample& x, const PairSample& y) {
+  if (x.sample.measured_at != y.sample.measured_at) {
+    return x.sample.measured_at > y.sample.measured_at;
+  }
+  if (x.a != y.a) return x.a < y.a;
+  return x.b < y.b;
+}
+
+std::vector<PairSample> sorted(std::vector<PairSample> samples) {
+  std::sort(samples.begin(), samples.end(), newer_first);
+  return samples;
+}
 
 class ReferenceCache {
  public:
@@ -426,14 +441,7 @@ class ReferenceCache {
         fresh.push_back(PairSample{a, b, e});
       }
     }
-    std::sort(fresh.begin(), fresh.end(),
-              [](const PairSample& x, const PairSample& y) {
-                if (x.sample.measured_at != y.sample.measured_at) {
-                  return x.sample.measured_at > y.sample.measured_at;
-                }
-                if (x.a != y.a) return x.a < y.a;
-                return x.b < y.b;
-              });
+    std::sort(fresh.begin(), fresh.end(), newer_first);
     if (fresh.size() > k) fresh.resize(k);
     memo_ = fresh;
     memo_version_ = version_;
@@ -552,7 +560,7 @@ TEST(BandwidthCacheDifferential, MatchesScanSortTruncateReference) {
         default: {
           const Payload got = cache.freshest_shared(now, k);
           const std::vector<PairSample> want = ref.freshest(now, k);
-          ASSERT_TRUE(same_samples(*got, want)) << "step " << step;
+          ASSERT_TRUE(same_samples(sorted(*got), want)) << "step " << step;
           // The previous snapshot is either still alive or reused, so the
           // same address on a rebuild means its vector was reused.
           if (ref.memo_hit()) {
@@ -585,6 +593,87 @@ TEST(BandwidthCacheDifferential, MatchesScanSortTruncateReference) {
   EXPECT_GT(reused, 0u);
   EXPECT_GT(truncated, 0u);
   EXPECT_GT(at_ttl, 0u);
+}
+
+// Merging is order-insensitive: one payload merged forwards, reversed and
+// shuffled into three copies of a cache leaves the same lookups, counts and
+// next payload (as a set). The payloads carry each pair once, and the
+// copies hold older and newer samples of the same pairs, so some merged
+// samples win and some lose.
+TEST(BandwidthCache, MergeOrderDoesNotMatter) {
+  constexpr double kTtl = 40.0;
+  std::uint64_t taken = 0;
+  std::uint64_t ignored = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    const int n = 3 + static_cast<int>(rng.next_below(10));
+    BandwidthCache sender(n, kTtl);
+    BandwidthCache forwards(n, kTtl);
+    BandwidthCache reversed(n, kTtl);
+    BandwidthCache shuffled(n, kTtl);
+    double now = 0;
+    for (int step = 0; step < 200; ++step) {
+      now += 0.25 * static_cast<double>(rng.next_below(8));
+      const auto a = static_cast<net::HostId>(
+          rng.next_below(static_cast<std::uint64_t>(n)));
+      const auto b = static_cast<net::HostId>(
+          (a + 1 + static_cast<net::HostId>(rng.next_below(
+                       static_cast<std::uint64_t>(n - 1)))) % n);
+      const double bw = rng.uniform(1e3, 1e5);
+      const double at = std::max(
+          0.0, now - 0.25 * static_cast<double>(rng.next_below(200)));
+      if (rng.bernoulli(0.5)) {
+        sender.record(a, b, bw, at);
+      } else {
+        for (BandwidthCache* c : {&forwards, &reversed, &shuffled}) {
+          c->record(a, b, bw, at);
+        }
+      }
+      if (!rng.bernoulli(0.1)) continue;
+
+      const std::size_t k = rng.bernoulli(0.2) ? 4 : 64;
+      std::vector<PairSample> payload = sender.freshest(now, k);
+      for (const PairSample& ps : payload) {
+        const auto held = forwards.lookup_any_age(ps.a, ps.b);
+        if (held && held->measured_at >= ps.sample.measured_at) {
+          ++ignored;
+        } else {
+          ++taken;
+        }
+      }
+      forwards.merge(payload);
+      std::reverse(payload.begin(), payload.end());
+      reversed.merge(payload);
+      for (std::size_t i = payload.size(); i > 1; --i) {
+        std::swap(payload[i - 1], payload[rng.next_below(i)]);
+      }
+      shuffled.merge(payload);
+
+      const double later = now + 0.25 * static_cast<double>(rng.next_below(80));
+      const auto want = sorted(forwards.freshest(later, k));
+      for (const BandwidthCache* c : {&reversed, &shuffled}) {
+        ASSERT_EQ(c->entry_count(), forwards.entry_count());
+        ASSERT_EQ(c->unexpired_count(later), forwards.unexpired_count(later));
+        for (net::HostId x = 0; x < n; ++x) {
+          for (net::HostId y = x + 1; y < n; ++y) {
+            const auto got = c->lookup(x, y, later);
+            const auto ref = forwards.lookup(x, y, later);
+            ASSERT_EQ(got.has_value(), ref.has_value());
+            if (got) {
+              ASSERT_EQ(got->bandwidth, ref->bandwidth);
+              ASSERT_EQ(got->measured_at, ref->measured_at);
+            }
+          }
+        }
+        ASSERT_TRUE(same_samples(sorted(c->freshest(later, k)), want));
+      }
+      now = later;
+    }
+  }
+  // Merged samples both replace and lose to what the receivers hold.
+  EXPECT_GT(taken, 0u);
+  EXPECT_GT(ignored, 0u);
 }
 
 TEST(BandwidthCache, PayloadTimeMustNotGoBackwards) {

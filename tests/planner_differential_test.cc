@@ -8,6 +8,9 @@
 // OneShotPlanner::plan must agree with it exactly — bit-identical costs,
 // the same placements, counters and unknown pairs, and the same set of
 // pairs put to the resolver — over random trees, resolvers and placements.
+// CostModel::move_cost, which costs one move along the moved operator's
+// chain, must agree in the same way with a full walk of the moved
+// placement.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -63,6 +66,19 @@ class ReferenceSearch {
       op = c.index;
     }
     return result;
+  }
+
+  // Which operators the walk of `p` explores rather than prunes, by
+  // OperatorId.
+  std::vector<bool> explored(const Placement& p, BandwidthResolver& r) const {
+    State state{&r,
+                std::vector<int>(
+                    static_cast<std::size_t>(tree_.num_operators()), -1),
+                {}, 0, 0};
+    exact_subtree_cost(Child::op(tree_.root()), p, state);
+    std::vector<bool> out;
+    for (const int best : state.best_child) out.push_back(best >= 0);
+    return out;
   }
 
   PlanOutcome plan(BandwidthResolver& resolver, Placement initial,
@@ -221,7 +237,9 @@ CombinationTree random_custom_tree(int servers, Rng& rng) {
 }
 
 CombinationTree random_tree(Rng& rng) {
-  const int servers = 2 + static_cast<int>(rng.next_below(15));  // 3..17 hosts
+  // 3..33 hosts: up to fig8's 32 servers, so a left-deep tree's critical
+  // path can be a 31-operator chain.
+  const int servers = 2 + static_cast<int>(rng.next_below(31));
   switch (rng.next_below(4)) {
     case 0:
       return CombinationTree::complete_binary(servers);
@@ -334,6 +352,73 @@ TEST(PlannerDifferential, OneShotPlanMatchesTheReferenceSearch) {
   // The inputs exercise both committed moves and sparse knowledge.
   EXPECT_GT(improved, 100);
   EXPECT_GT(with_unknowns, 100);
+}
+
+// move_cost against critical_path_cost of the moved placement, the way the
+// planner uses it: many moves against one base walk, each side through its
+// own memo. After every move the costs are bit-identical and the two memos
+// hold the same unknown pairs and have put the same pairs to the resolver.
+TEST(PlannerDifferential, MoveCostMatchesAWalkOfTheMovedPlacement) {
+  Rng rng(0x3a7e);
+  int moves = 0;
+  // Moves whose walk explores an off-chain subtree the base walk pruned.
+  int explores_pruned = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const CombinationTree tree = random_tree(rng);
+    const CostModel model(tree, CostModelParams{});
+    const ReferenceSearch reference(model);
+    const MapResolver table =
+        random_resolver(tree.num_hosts(), random_missing(rng), rng);
+    const Placement base = random_placement(tree, rng);
+    SCOPED_TRACE(tree.to_string() + " " + base.to_string());
+
+    CountingResolver got_r(table);
+    CountingResolver want_r(table);
+    MapResolver quiet(table);  // for `explored`, outside both memos
+    std::set<HostPair> got_unknown;
+    std::set<HostPair> want_unknown;
+    CostModel::EdgeMemo got_memo(model, got_r, &got_unknown);
+    CostModel::EdgeMemo want_memo(model, want_r, &want_unknown);
+    ASSERT_TRUE(same_bits(model.critical_path_cost(base, got_memo),
+                          model.critical_path_cost(base, want_memo)));
+    const std::vector<bool> base_explored = reference.explored(base, quiet);
+
+    const auto pick = [&](int n) {
+      return static_cast<int>(rng.next_below(static_cast<std::uint64_t>(n)));
+    };
+    for (int m = 0; m < 6; ++m) {
+      const OperatorId op = pick(tree.num_operators());
+      std::vector<bool> on_chain(
+          static_cast<std::size_t>(tree.num_operators()), false);
+      for (OperatorId o = op; o != kNoOperator; o = tree.parent(o)) {
+        on_chain[static_cast<std::size_t>(o)] = true;
+      }
+      model.begin_move(base, op, got_memo);
+      for (int h = 0; h < 4; ++h) {
+        const net::HostId host = pick(tree.num_hosts());
+        Placement moved = base;
+        moved.set_location(op, host);
+        SCOPED_TRACE("move " + std::to_string(op) + " to " +
+                     std::to_string(host));
+        const double got = model.move_cost(base, host, got_memo);
+        const double want = model.critical_path_cost(moved, want_memo);
+        ASSERT_TRUE(same_bits(got, want)) << got << " vs " << want;
+        ASSERT_EQ(got_unknown, want_unknown);
+        ASSERT_EQ(got_r.asked(), want_r.asked());
+        ++moves;
+        const std::vector<bool> now_explored = reference.explored(moved, quiet);
+        for (std::size_t o = 0; o < on_chain.size(); ++o) {
+          if (!on_chain[o] && now_explored[o] && !base_explored[o]) {
+            ++explores_pruned;
+            break;
+          }
+        }
+      }
+    }
+    EXPECT_LE(got_r.max_asks(), 1);
+  }
+  EXPECT_EQ(moves, 300 * 6 * 4);
+  EXPECT_GT(explores_pruned, 100);
 }
 
 }  // namespace
